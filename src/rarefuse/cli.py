@@ -59,6 +59,14 @@ class SubsetSettings:
     p0: float = 0.1
     max_levels: int = 12
 
+    def __post_init__(self):
+        if self.N < 100:
+            raise ConfigError("subset.N must be >= 100")
+        if not 0.0 < self.p0 < 1.0:
+            raise ConfigError("subset.p0 must lie strictly between 0 and 1")
+        if self.max_levels < 1:
+            raise ConfigError("subset.max_levels must be >= 1")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -74,10 +82,17 @@ class ExperimentConfig:
     subset: SubsetSettings = field(default_factory=SubsetSettings)
 
     def __post_init__(self):
+        if self.benchmark not in benchmark_names():
+            raise ConfigError(
+                f"unknown benchmark {self.benchmark!r}; known: "
+                + ", ".join(benchmark_names())
+            )
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.m < 0:
             raise ConfigError("m must be nonnegative")
+        if self.seed < 0:
+            raise ConfigError("seed must be nonnegative")
         if not self.n_grid:
             raise ConfigError("n_grid must be nonempty")
         if list(self.n_grid) != sorted(self.n_grid):
@@ -114,15 +129,16 @@ class ExperimentConfig:
             raise ConfigError("config requires a 'benchmark' name")
         kwargs = dict(doc)
         subset_doc = kwargs.pop("subset", None)
-        if subset_doc is not None:
-            sub_known = {"N", "p0", "max_levels"}
-            sub_unknown = set(subset_doc) - sub_known
-            if sub_unknown:
-                raise ConfigError(f"unknown subset keys: {sorted(sub_unknown)}")
-            kwargs["subset"] = SubsetSettings(**subset_doc)
-        if "n_grid" in kwargs:
-            kwargs["n_grid"] = tuple(kwargs["n_grid"])
         try:
+            if "n_grid" in kwargs:
+                kwargs["n_grid"] = tuple(kwargs["n_grid"])
+            if subset_doc is not None:
+                if not isinstance(subset_doc, dict):
+                    raise ConfigError("subset must be a JSON object")
+                sub_unknown = set(subset_doc) - {"N", "p0", "max_levels"}
+                if sub_unknown:
+                    raise ConfigError(f"unknown subset keys: {sorted(sub_unknown)}")
+                kwargs["subset"] = SubsetSettings(**subset_doc)
             return cls(**kwargs)
         except TypeError as exc:
             raise ConfigError(str(exc)) from None

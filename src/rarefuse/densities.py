@@ -4,7 +4,9 @@ Two density families are supported: a uniform distribution on an
 axis-aligned box (the usual nominal input law) and a Gaussian mixture
 (the biasing densities fitted to failure samples).  Both evaluate their
 pdf at single points or at batches of points and draw reproducible
-samples from a ``numpy.random.Generator``.
+samples from a ``numpy.random.Generator``.  The class attribute
+``full_support`` says whether the density is positive on all of R^d,
+which importance sampling requires of a biasing density.
 
 Densities are immutable after construction and safe to share across
 threads; every sampling call owns its generator.
@@ -55,6 +57,8 @@ class UniformBox:
 
     pdf is 1/volume inside the box and exactly 0 outside.
     """
+
+    full_support = False
 
     def __init__(self, lower, upper):
         lower = np.asarray(lower, dtype=float)
@@ -110,6 +114,8 @@ class GaussianMixture:
     definite.  Full support guarantees supp(p) is contained in supp(q)
     for any nominal density p, which importance sampling requires.
     """
+
+    full_support = True
 
     _WEIGHT_TOL = 1e-12
     _SYM_TOL = 1e-12

@@ -124,14 +124,12 @@ def importance_sampling_estimate(
     Draws from ``biasing`` and averages I(failure) * p(z)/q(z).  Samples
     where the nominal density vanishes lie outside the input domain, carry
     zero weight, and skip the model evaluation entirely.  The biasing
-    density must have full support (any Gaussian mixture) or equal the
-    nominal density.
+    density must have full support (its ``full_support`` flag is set) or
+    equal the nominal density.
     """
     if n < 2:
         raise ValueError("n must be >= 2 for the unbiased sample variance")
-    from .densities import GaussianMixture
-
-    if not isinstance(biasing, GaussianMixture) and biasing != nominal:
+    if not biasing.full_support and biasing != nominal:
         raise ValueError(
             "biasing density must have full support or equal the nominal density"
         )

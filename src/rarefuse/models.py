@@ -73,7 +73,11 @@ class Model:
 
 @dataclass(frozen=True)
 class LimitState:
-    """Scalar limit-state function; failure holds iff g(qoi) < 0 (strict)."""
+    """Scalar limit-state function; failure holds iff g(qoi) < 0 (strict).
+
+    Non-finite g values raise ``ValueError``: NaN < 0 is false, so every
+    estimator would otherwise count a NaN silently as safe.
+    """
 
     g: Callable[[np.ndarray], np.ndarray]
 
@@ -81,6 +85,11 @@ class LimitState:
         qoi = np.asarray(qoi, dtype=float)
         single = qoi.ndim == 1
         vals = np.asarray(self.g(qoi.reshape(1, -1) if single else qoi), dtype=float)
+        bad = int(np.count_nonzero(~np.isfinite(vals)))
+        if bad:
+            raise ValueError(
+                f"limit state returned {bad} non-finite value(s) out of {vals.size}"
+            )
         return float(vals[0]) if single else vals
 
     __call__ = evaluate

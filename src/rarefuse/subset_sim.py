@@ -3,8 +3,8 @@
 The failure probability is factored into a product of larger conditional
 probabilities over nested intermediate events g < b_1 > b_2 > ... > b_L = 0.
 Thresholds are picked adaptively as the p0-quantile of each level's
-limit-state values; conditional levels are populated by component-wise
-Metropolis chains seeded with the surviving samples.
+limit-state values; conditional levels are populated by Metropolis
+chains seeded with the surviving samples, all advancing in lockstep.
 
 All sampling happens in the unit hypercube through the probability
 integral transform of the nominal density, which makes the proposal scale
@@ -95,6 +95,25 @@ def _reflect(x: np.ndarray) -> np.ndarray:
     return np.where((x >= 0.0) & (x <= 1.0), x, folded)
 
 
+def _metropolis_move(states, g_states, threshold, width, rng, g_of_points):
+    """One Metropolis move of a batch of chains conditioned on g <= threshold.
+
+    ``states`` is an (n, d) array of unit-cube points whose limit-state
+    values are ``g_states``.  Every coordinate is perturbed by a uniform
+    window of half-width ``width``, reflected at the cube boundaries; a
+    candidate is kept iff its g stays at or below ``threshold``, otherwise
+    its chain repeats the current state.  All candidates are evaluated in
+    one ``g_of_points`` call.  Returns the new states and their g values.
+    """
+    candidates = _reflect(states + rng.uniform(-width, width, size=states.shape))
+    g_cand = g_of_points(candidates)
+    accept = g_cand <= threshold
+    return (
+        np.where(accept[:, None], candidates, states),
+        np.where(accept, g_cand, g_states),
+    )
+
+
 def mcmc_conditional_step(
     chain_state: np.ndarray,
     threshold: float,
@@ -107,45 +126,47 @@ def mcmc_conditional_step(
 
     ``chain_state`` lives in the unit hypercube and ``model`` must act on
     unit-cube coordinates (compose it with :func:`unit_cube_transform` for
-    models defined on the original domain).  Every coordinate is perturbed
-    by a uniform window of half-width ``proposal_width``, reflected at the
-    cube boundaries; the composite move is kept iff the candidate stays in
-    the conditioning event, otherwise the current state repeats.
+    models defined on the original domain).  This is the single-chain case
+    of the move subset simulation uses: the candidate is kept iff it stays
+    in the conditioning event, otherwise the current state repeats.
     """
-    state = np.asarray(chain_state, dtype=float)
-    candidate = _reflect(
-        state + rng.uniform(-proposal_width, proposal_width, size=state.shape)
+    state = np.asarray(chain_state, dtype=float).reshape(1, -1)
+    new_state, _ = _metropolis_move(
+        state,
+        np.full(1, np.nan),  # the current g is never returned, only the state
+        threshold,
+        proposal_width,
+        rng,
+        lambda u: ls.evaluate(model.evaluate(u)),
     )
-    g_cand = ls.evaluate(model.evaluate(candidate))
-    return candidate if g_cand <= threshold else state
+    return new_state[0]
 
 
 def _grow_chains(seeds_u, seeds_g, threshold, n_total, width, rng, g_of_points):
     """Grow Metropolis chains from the seeds until n_total samples exist.
 
     Each seed spawns one chain; chain lengths are floor(N / n_seeds) with
-    the remainder given to the first chains. Chains include their seed, so
-    each contributes length-1 new model evaluations.
-    Returns (points, g_values, model_evals, chain_lengths).
+    the remainder given to the first chains, so the chains still growing
+    at any step form a prefix.  All of them advance in lockstep, one
+    :func:`_metropolis_move` (one model call) per step.  Chains include
+    their seed, so each contributes length-1 new model evaluations.
+    Returns (points, g_values, model_evals, chain_lengths) with the points
+    stored chain after chain.
     """
     n_seeds, d = seeds_u.shape
     base, rem = divmod(n_total, n_seeds)
     lengths = [base + 1 if c < rem else base for c in range(n_seeds)]
-    points = np.empty((n_total, d))
-    g_vals = np.empty(n_total)
-    pos = 0
-    for c in range(n_seeds):
-        state, g_state = seeds_u[c], float(seeds_g[c])
-        points[pos], g_vals[pos] = state, g_state
-        for _ in range(lengths[c] - 1):
-            candidate = _reflect(state + rng.uniform(-width, width, size=d))
-            g_cand = float(g_of_points(candidate.reshape(1, -1))[0])
-            if g_cand <= threshold:
-                state, g_state = candidate, g_cand
-            pos += 1
-            points[pos], g_vals[pos] = state, g_state
-        pos += 1
-    return points, g_vals, n_total - n_seeds, lengths
+    steps = lengths[0]
+    grid = np.empty((n_seeds, steps, d))
+    g_grid = np.empty((n_seeds, steps))
+    grid[:, 0], g_grid[:, 0] = seeds_u, seeds_g
+    for t in range(1, steps):
+        active = n_seeds if t < base else rem
+        grid[:active, t], g_grid[:active, t] = _metropolis_move(
+            grid[:active, t - 1], g_grid[:active, t - 1], threshold, width, rng, g_of_points
+        )
+    filled = np.arange(steps) < np.array(lengths)[:, None]
+    return grid[filled], g_grid[filled], n_total - n_seeds, lengths
 
 
 def _chain_correlation_factor(ind: np.ndarray, lengths: list[int]) -> float:
@@ -157,6 +178,8 @@ def _chain_correlation_factor(ind: np.ndarray, lengths: list[int]) -> float:
     at that lag, pooled over chains (products of pairs lag apart within a
     chain, minus the squared level probability, normalized by the lag-0
     variance).  Independent samples give gamma = 0.
+    Chains are rows of a zero-padded grid; sums of 0/1 products are exact,
+    so the result does not depend on the summation order.
     """
     n = ind.size
     n_chains = len(lengths)
@@ -165,18 +188,14 @@ def _chain_correlation_factor(ind: np.ndarray, lengths: list[int]) -> float:
     if r0 == 0.0:
         return 0.0
     max_lag = n // n_chains
-    offsets = np.concatenate(([0], np.cumsum(lengths)))
+    lengths_arr = np.asarray(lengths)
+    grid = np.zeros((n_chains, lengths_arr.max()))
+    grid[np.arange(grid.shape[1]) < lengths_arr[:, None]] = ind
     gamma = 0.0
     for lag in range(1, max_lag):
-        num = 0.0
-        pairs = 0
-        for c in range(n_chains):
-            seg = ind[offsets[c] : offsets[c + 1]]
-            if seg.size > lag:
-                num += float(seg[:-lag] @ seg[lag:])
-                pairs += seg.size - lag
-        if pairs == 0:
-            break
+        # lag < N/Nc <= the longest chain, so pairs > 0
+        pairs = int(np.maximum(lengths_arr - lag, 0).sum())
+        num = float(np.vdot(grid[:, :-lag], grid[:, lag:]))
         rho = (num / pairs - p * p) / r0
         gamma += 2.0 * (1.0 - lag * n_chains / n) * rho
     return gamma
@@ -232,80 +251,53 @@ def subset_simulation(
 
     while True:
         b = float(np.sort(g_vals)[quantile_idx])
-        failure_ind = (g_vals < 0.0).astype(float)
-        if b <= 0.0:
-            thresholds.append(0.0)
-            p_final = float(failure_ind.mean())
-            gamma = (
-                0.0
-                if lengths is None
-                else _chain_correlation_factor(failure_ind, lengths)
-            )
-            if p_final > 0.0:
-                delta_sq.append((1.0 - p_final) / (N * p_final) * (1.0 + gamma))
-                approx_cv = math.sqrt(math.fsum(delta_sq))
-            else:
-                approx_cv = float("inf")
-            estimate = p0 ** (level - 1) * p_final
-            if keep_samples:
-                stats.append(
-                    {
-                        "threshold": 0.0,
-                        "p_level": p_final,
-                        "gamma": gamma,
-                        "g_values": g_vals.copy(),
-                        "seed_mask": g_vals < 0.0,
-                    }
-                )
-            return SubsetResult(
-                estimate=estimate,
-                levels=level,
-                thresholds=thresholds,
-                samples_per_level=N,
-                total_model_evals=total_evals,
-                approx_cv=approx_cv,
-                p0=p0,
-                converged=True,
-                level_stats=stats,
-            )
-
+        converged = b <= 0.0
+        if converged:
+            b = 0.0
+            seed_mask = g_vals < 0.0
+        else:
+            seed_mask = g_vals <= b
         thresholds.append(b)
-        seed_mask = g_vals <= b
         p_level = float(seed_mask.mean())
         gamma = (
             0.0
             if lengths is None
             else _chain_correlation_factor(seed_mask.astype(float), lengths)
         )
-        delta_sq.append((1.0 - p_level) / (N * p_level) * (1.0 + gamma))
+        if p_level > 0.0:
+            delta_sq.append((1.0 - p_level) / (N * p_level) * (1.0 + gamma))
         if keep_samples:
             stats.append(
                 {
                     "threshold": b,
                     "p_level": p_level,
                     "gamma": gamma,
-                    "g_values": g_vals.copy(),
-                    "seed_mask": seed_mask.copy(),
+                    "g_values": g_vals,
+                    "seed_mask": seed_mask,
                 }
             )
-
-        if level >= max_levels:
-            # never reached the true failure threshold
-            estimate = p0 ** (level - 1) * float(failure_ind.mean())
-            return SubsetResult(
-                estimate=estimate,
-                levels=level,
-                thresholds=thresholds,
-                samples_per_level=N,
-                total_model_evals=total_evals,
-                approx_cv=float("inf"),
-                p0=p0,
-                converged=False,
-                level_stats=stats,
-            )
-
+        if converged or level >= max_levels:
+            break
         points, g_vals, new_evals, lengths = _grow_chains(
             points[seed_mask], g_vals[seed_mask], b, N, proposal_width, rng, g_of_points
         )
         total_evals += new_evals
         level += 1
+
+    # a run stopped by max_levels never reached the true failure threshold
+    p_fail = p_level if converged else float((g_vals < 0.0).mean())
+    return SubsetResult(
+        estimate=p0 ** (level - 1) * p_fail,
+        levels=level,
+        thresholds=thresholds,
+        samples_per_level=N,
+        total_model_evals=total_evals,
+        approx_cv=(
+            math.sqrt(math.fsum(delta_sq))
+            if converged and p_fail > 0.0
+            else float("inf")
+        ),
+        p0=p0,
+        converged=converged,
+        level_stats=stats,
+    )

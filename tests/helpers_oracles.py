@@ -53,3 +53,32 @@ def midpoint_quadrature_2d(fn, lo, hi, n=400):
     pts = np.column_stack([gx.ravel(), gy.ravel()])
     cell = (hi[0] - lo[0]) * (hi[1] - lo[1]) / n**2
     return float(fn(pts).sum() * cell)
+
+
+def chain_correlation_factor_loop(ind: np.ndarray, lengths) -> float:
+    """Chain-correlation factor gamma by an explicit loop over lag and chain.
+
+    The pooled lag-k products are accumulated chain by chain from the
+    contiguous segments of ``ind`` (chains stored one after another).
+    """
+    n = ind.size
+    n_chains = len(lengths)
+    p = float(ind.mean())
+    r0 = p * (1.0 - p)
+    if r0 == 0.0:
+        return 0.0
+    offsets = np.concatenate(([0], np.cumsum(lengths)))
+    gamma = 0.0
+    for lag in range(1, n // n_chains):
+        num = 0.0
+        pairs = 0
+        for c in range(n_chains):
+            seg = ind[offsets[c] : offsets[c + 1]]
+            if seg.size > lag:
+                num += float(seg[:-lag] @ seg[lag:])
+                pairs += seg.size - lag
+        if pairs == 0:
+            break
+        rho = (num / pairs - p * p) / r0
+        gamma += 2.0 * (1.0 - lag * n_chains / n) * rho
+    return gamma

@@ -30,6 +30,27 @@ def small_config(tmp_path, **overrides):
     return ExperimentConfig.from_dict(doc)
 
 
+# Each value fails validation of the config alone, before any work is done.
+BAD_VALUES = [
+    {"benchmark": "no-such-benchmark"},
+    {"seed": -1},
+    {"subset": {"N": 50}},
+    {"subset": {"p0": 1.0}},
+    {"subset": {"p0": 0.0}},
+    {"subset": {"max_levels": 0}},
+    {"subset": 5},
+]
+BAD_VALUE_IDS = [
+    "unknown-benchmark",
+    "negative-seed",
+    "subset-N-50",
+    "subset-p0-1",
+    "subset-p0-0",
+    "subset-max-levels-0",
+    "subset-number",
+]
+
+
 class TestConfig:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError, match="unknown config keys"):
@@ -60,6 +81,11 @@ class TestConfig:
     def test_repetitions_validated(self):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({"benchmark": "B1", "repetitions": 0})
+
+    @pytest.mark.parametrize("overrides", BAD_VALUES, ids=BAD_VALUE_IDS)
+    def test_bad_values_rejected(self, overrides):
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict({"benchmark": "B1", **overrides})
 
     def test_hash_ignores_output_dir(self):
         a = ExperimentConfig.from_dict({"benchmark": "B1", "output_dir": "x"})
@@ -202,6 +228,26 @@ class TestCommandLine:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"benchmark": "B1", "surprise": True}))
         assert main(["run", "--config", str(path)]) == 2
+
+    @pytest.mark.parametrize("overrides", BAD_VALUES, ids=BAD_VALUE_IDS)
+    def test_run_bad_values_exit_2_before_work(self, tmp_path, overrides, monkeypatch):
+        import rarefuse.cli as cli_mod
+
+        def no_work(*args):
+            raise AssertionError("a phase ran for an invalid config")
+
+        for phase in ("_build_phase", "_estimate_phase", "_subset_phase"):
+            monkeypatch.setattr(cli_mod, phase, no_work)
+        doc = {
+            "benchmark": "arrhenius-2d",
+            "mode": "all",
+            "output_dir": str(tmp_path / "out"),
+            **overrides,
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", "--config", str(path)]) == 2
+        assert not (tmp_path / "out").exists()
 
     def test_run_missing_file_exit_2(self):
         assert main(["run", "--config", "/nonexistent/cfg.json"]) == 2

@@ -16,6 +16,7 @@ from rarefuse.estimators import (
     theoretical_mc_cv,
 )
 from rarefuse.models import LimitState, Model, get_benchmark, make_linear_gaussian
+from rarefuse.subset_sim import subset_simulation
 
 
 def shifted_gaussian(beta, d=2):
@@ -169,6 +170,29 @@ class TestImportanceSampling:
                 np.random.default_rng(0),
             )
 
+    def test_declared_full_support_accepted(self):
+        # support is read from the density's flag, not from its type
+        class WrappedGaussian:
+            full_support = True
+
+            def __init__(self, inner):
+                self._inner = inner
+
+            def sample(self, rng, count):
+                return self._inner.sample(rng, count)
+
+            def pdf(self, z):
+                return self._inner.pdf(z)
+
+        b = make_linear_gaussian(beta=2.0, d=2)
+        q = shifted_gaussian(2.0)
+        args = (b.high_fidelity, b.limit_state, b.nominal)
+        wrapped = importance_sampling_estimate(
+            *args, WrappedGaussian(q), 500, np.random.default_rng(4)
+        )
+        plain = importance_sampling_estimate(*args, q, 500, np.random.default_rng(4))
+        assert wrapped == plain
+
     def test_broken_density_detected(self):
         class BrokenDensity(GaussianMixture):
             def pdf(self, z):
@@ -200,6 +224,26 @@ class TestImportanceSampling:
             r = run()
             assert r.estimate == baseline.estimate
             assert r.sample_variance == baseline.sample_variance
+
+
+class TestNonFiniteLimitState:
+    @pytest.mark.parametrize("estimator", ["mc", "is", "subset"])
+    def test_nan_model_output_rejected(self, estimator):
+        # NaN compares as neither failing nor safe; it must not count as safe
+        b = make_linear_gaussian(beta=2.0, d=2)
+        model = Model(lambda pts: np.where(pts[:, 0] > 1.0, np.nan, pts.sum(axis=1)), 2, 1)
+        rng = np.random.default_rng(0)
+        run = {
+            "mc": lambda: monte_carlo_estimate(model, b.limit_state, b.nominal, 1000, rng),
+            "is": lambda: importance_sampling_estimate(
+                model, b.limit_state, b.nominal, shifted_gaussian(2.0), 1000, rng
+            ),
+            "subset": lambda: subset_simulation(
+                model, b.limit_state, b.nominal, 500, 0.1, 12, rng
+            ),
+        }[estimator]
+        with pytest.raises(ValueError, match=r"\d+ non-finite value"):
+            run()
 
 
 class TestUnbiasednessAndConvergence:

@@ -9,10 +9,14 @@ from rarefuse.densities import GaussianMixture, UniformBox
 from rarefuse.models import LimitState, Model, get_benchmark, make_linear_gaussian
 from rarefuse.models import oracle_failure_probability
 from rarefuse.subset_sim import (
+    _chain_correlation_factor,
+    _grow_chains,
     mcmc_conditional_step,
     subset_simulation,
     unit_cube_transform,
 )
+
+from helpers_oracles import chain_correlation_factor_loop
 
 
 def cube_model(fn, d=2):
@@ -225,3 +229,57 @@ class TestSubsetSimulation:
         p = oracle_failure_probability(b)
         assert res.converged
         assert abs(res.estimate - p) < 4 * res.approx_cv * p
+
+
+class TestChainKernel:
+    def test_gamma_matches_loop_reference_exactly(self):
+        rng = np.random.default_rng(11)
+        shorter_than_lag = 0
+        for trial in range(300):
+            n_chains = int(rng.integers(1, 40))
+            if trial % 2:
+                # _grow_chains layout: floor(N/Nc), remainder to the first chains
+                base = int(rng.integers(1, 30))
+                rem = int(rng.integers(0, n_chains))
+                lengths = [base + 1 if c < rem else base for c in range(n_chains)]
+            else:
+                lengths = rng.integers(1, 40, size=n_chains).tolist()
+            n = sum(lengths)
+            if rng.random() < 0.5:
+                ind = (rng.random(n) < rng.uniform(0.05, 0.95)).astype(float)
+            else:  # sticky runs, as correlated chains produce
+                flips = rng.random(n) < 0.1
+                ind = (np.cumsum(flips) % 2).astype(float)
+            if n // n_chains - 1 > min(lengths):
+                shorter_than_lag += 1
+            assert _chain_correlation_factor(ind, lengths) == (
+                chain_correlation_factor_loop(ind, lengths)
+            )
+        assert shorter_than_lag > 0
+
+    def test_grow_chains_contract(self):
+        threshold, width = 0.8, 0.3
+        rng = np.random.default_rng(5)
+        candidates = rng.random((200, 2))
+        seeds = candidates[candidates.sum(axis=1) <= threshold][:10]
+        n_seeds, n_total = seeds.shape[0], 103
+        assert n_seeds == 10
+        call_sizes = []
+
+        def g_of_points(u):
+            call_sizes.append(u.shape[0])
+            return u.sum(axis=1)
+
+        points, g_vals, evals, lengths = _grow_chains(
+            seeds, seeds.sum(axis=1), threshold, n_total, width, rng, g_of_points
+        )
+        # 103 = 10 * 10 + 3: all ten chains take nine moves, the first three one more
+        assert lengths == [11] * 3 + [10] * 7
+        assert call_sizes == [10] * 9 + [3]
+        assert evals == n_total - n_seeds == sum(call_sizes)
+        assert points.shape == (n_total, 2)
+        np.testing.assert_array_equal(g_vals, points.sum(axis=1))
+        assert np.all(g_vals <= threshold)
+        assert np.all((points >= 0.0) & (points <= 1.0))
+        starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
+        np.testing.assert_array_equal(points[starts], seeds)
