@@ -21,17 +21,13 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .estimators import (
-    EstimatorResult,
-    importance_sampling_estimate,
-    monte_carlo_estimate,
-)
-from .fusion import FusedResult, fuse
+from .estimators import importance_sampling_estimate, monte_carlo_estimate
+from .fusion import fuse
 from .mfis import BiasingBuildReport, build_biasing_density
 from .models import Benchmark, benchmark_names, get_benchmark, oracle_failure_probability
 from .subset_sim import subset_simulation
@@ -47,10 +43,43 @@ __all__ = [
 ]
 
 MODES = ("build_densities", "convergence", "fuse", "subset", "all")
+# per-budget statistics in convergence.csv, averaged over repetitions
+_STATS = ("estimate", "rmse", "cv")
+_ESTIMATE_COLUMNS = [
+    "density_id",
+    "kind",
+    "n",
+    "estimate",
+    "sample_variance",
+    "hits",
+    "rmse",
+    "cv",
+]
+_WEIGHT_COLUMNS = ["estimate", "variance", "multiplier", "no_information"]
+_SUBSET_COLUMNS = [
+    "config_hash",
+    "seed",
+    "repetition",
+    "samples",
+    "samples_each_level",
+    "levels",
+    "estimate",
+    "approx_cv",
+    "converged",
+    "model_evals",
+]
 
 
 class ConfigError(ValueError):
     """Invalid experiment configuration."""
+
+
+def _require_count(name: str, value, minimum: int) -> None:
+    # counts must be JSON integers; bool is an int subclass but not a count
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ConfigError(f"{name} must be >= {minimum}")
 
 
 @dataclass(frozen=True)
@@ -60,12 +89,10 @@ class SubsetSettings:
     max_levels: int = 12
 
     def __post_init__(self):
-        if self.N < 100:
-            raise ConfigError("subset.N must be >= 100")
+        _require_count("subset.N", self.N, 100)
+        _require_count("subset.max_levels", self.max_levels, 1)
         if not 0.0 < self.p0 < 1.0:
             raise ConfigError("subset.p0 must lie strictly between 0 and 1")
-        if self.max_levels < 1:
-            raise ConfigError("subset.max_levels must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -89,18 +116,15 @@ class ExperimentConfig:
             )
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.m < 0:
-            raise ConfigError("m must be nonnegative")
-        if self.seed < 0:
-            raise ConfigError("seed must be nonnegative")
+        _require_count("m", self.m, 0)
+        _require_count("seed", self.seed, 0)
+        _require_count("repetitions", self.repetitions, 1)
         if not self.n_grid:
             raise ConfigError("n_grid must be nonempty")
+        for n in self.n_grid:
+            _require_count("n_grid entry", n, 1)
         if list(self.n_grid) != sorted(self.n_grid):
             raise ConfigError("n_grid must be ascending")
-        if any(n < 1 for n in self.n_grid):
-            raise ConfigError("n_grid entries must be positive")
-        if self.repetitions < 1:
-            raise ConfigError("repetitions must be >= 1")
         if self.split != "equal":
             raise ConfigError("only the 'equal' split rule is supported")
         if self.threshold_relax is not None and self.threshold_relax < 0:
@@ -110,19 +134,7 @@ class ExperimentConfig:
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
         if not isinstance(doc, dict):
             raise ConfigError("config must be a JSON object")
-        known = {
-            "benchmark",
-            "mode",
-            "m",
-            "n_grid",
-            "split",
-            "seed",
-            "repetitions",
-            "output_dir",
-            "threshold_relax",
-            "subset",
-        }
-        unknown = set(doc) - known
+        unknown = set(doc) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         if "benchmark" not in doc:
@@ -135,7 +147,7 @@ class ExperimentConfig:
             if subset_doc is not None:
                 if not isinstance(subset_doc, dict):
                     raise ConfigError("subset must be a JSON object")
-                sub_unknown = set(subset_doc) - {"N", "p0", "max_levels"}
+                sub_unknown = set(subset_doc) - {f.name for f in fields(SubsetSettings)}
                 if sub_unknown:
                     raise ConfigError(f"unknown subset keys: {sorted(sub_unknown)}")
                 kwargs["subset"] = SubsetSettings(**subset_doc)
@@ -176,33 +188,7 @@ class CampaignReport:
     subset_rows: list[dict] = field(default_factory=list)
     budget: dict = field(default_factory=dict)
     timings: dict = field(default_factory=dict)
-
-
-class CountingModel:
-    """Wrapper that counts per-point model evaluations for the budget report."""
-
-    def __init__(self, inner):
-        self._inner = inner
-        self.evaluations = 0
-
-    @property
-    def input_dim(self):
-        return self._inner.input_dim
-
-    @property
-    def output_dim(self):
-        return self._inner.output_dim
-
-    @property
-    def cost_tag(self):
-        return self._inner.cost_tag
-
-    def evaluate(self, z):
-        z = np.asarray(z, dtype=float)
-        self.evaluations += 1 if z.ndim == 1 else z.shape[0]
-        return self._inner.evaluate(z)
-
-    __call__ = evaluate
+    files: list[str] = field(default_factory=list)
 
 
 def _stream(seed: int, *key: int) -> np.random.Generator:
@@ -241,50 +227,46 @@ def _nan_mean(values: list[float]) -> float:
 
 def _build_phase(config: ExperimentConfig, benchmark: Benchmark, report: CampaignReport):
     t0 = time.perf_counter()
-    for i, surrogate in enumerate(benchmark.surrogates):
-        rng = _stream(config.seed, 1, i)
-        report.density_reports.append(
-            build_biasing_density(
-                surrogate,
-                benchmark.limit_state,
-                benchmark.nominal,
-                config.m,
-                rng,
-                config.threshold_relax,
-            )
+    # one density per surrogate, then the high-fidelity reference on key 1000
+    models = [*enumerate(benchmark.surrogates), (1000, benchmark.high_fidelity)]
+    builds = [
+        build_biasing_density(
+            model,
+            benchmark.limit_state,
+            benchmark.nominal,
+            config.m,
+            _stream(config.seed, 1, key),
+            config.threshold_relax,
         )
-    rng = _stream(config.seed, 1, 1000)
-    report.reference_report = build_biasing_density(
-        benchmark.high_fidelity,
-        benchmark.limit_state,
-        benchmark.nominal,
-        config.m,
-        rng,
-        config.threshold_relax,
-    )
+        for key, model in models
+    ]
+    report.density_reports = builds[:-1]
+    report.reference_report = builds[-1]
     report.timings["build_densities_s"] = time.perf_counter() - t0
 
 
 def _estimate_phase(config: ExperimentConfig, benchmark: Benchmark, report: CampaignReport):
     t0 = time.perf_counter()
-    hf = CountingModel(benchmark.high_fidelity)
+    hf = benchmark.high_fidelity
     ls = benchmark.limit_state
     nominal = benchmark.nominal
     densities = [r.density for r in report.density_reports]
     k = len(densities)
     density_ids = [f"q{i + 1}" for i in range(k)]
-    fused_samples = 0
-    reference_samples = 0
-    mc_samples = 0
+    estimator_ids = [*density_ids, "fused", "nominal", "q_ref"]
+    hf_evaluations = 0
 
     for n_idx, n_total in enumerate(config.n_grid):
-        per_rep: dict[str, list[dict]] = {}
-        insufficient = n_total // k < 2
+        if n_total // k < 2:
+            report.convergence_rows += [
+                {"n": n_total, "estimator_id": e, "flag": "insufficient"}
+                for e in estimator_ids
+            ]
+            continue
+        splits = _split_budget(n_total, k)
+        per_rep: dict[str, list[dict]] = {e: [] for e in estimator_ids}
         for rep in range(config.repetitions):
-            if insufficient:
-                continue
-            splits = _split_budget(n_total, k)
-            results: list[EstimatorResult] = []
+            results = []
             for slot, (density, n_i) in enumerate(zip(densities, splits)):
                 rng = _stream(config.seed, 2, n_idx, rep, slot)
                 results.append(
@@ -292,18 +274,16 @@ def _estimate_phase(config: ExperimentConfig, benchmark: Benchmark, report: Camp
                         hf, ls, nominal, density, n_i, rng, density_ids[slot]
                     )
                 )
-            fused_samples += sum(splits)
             fused = fuse(results, assume_independent=True)
-
             rng = _stream(config.seed, 2, n_idx, rep, 900)
-            mc_result = monte_carlo_estimate(hf, ls, nominal, n_total, rng, "nominal")
-            mc_samples += n_total
-
+            results.append(monte_carlo_estimate(hf, ls, nominal, n_total, rng, "nominal"))
             rng = _stream(config.seed, 2, n_idx, rep, 901)
-            ref_result = importance_sampling_estimate(
-                hf, ls, nominal, report.reference_report.density, n_total, rng, "q_ref"
+            results.append(
+                importance_sampling_estimate(
+                    hf, ls, nominal, report.reference_report.density, n_total, rng, "q_ref"
+                )
             )
-            reference_samples += n_total
+            hf_evaluations += sum(res.model_evals for res in results)
 
             base = {
                 "config_hash": report.config_hash,
@@ -311,183 +291,116 @@ def _estimate_phase(config: ExperimentConfig, benchmark: Benchmark, report: Camp
                 "n_total": n_total,
                 "repetition": rep,
             }
-            for res in [*results, mc_result, ref_result]:
-                row = dict(base)
-                row.update(res.csv_row())
+            for res in results:
+                row = {**base, **res.csv_row()}
                 report.estimator_rows.append(row)
-                per_rep.setdefault(res.density_id, []).append(row)
+                per_rep[res.density_id].append(row)
 
-            fused_row = dict(base)
-            fused_row.update(
-                {
-                    "estimate": fused.estimate,
-                    "variance": fused.variance,
-                    "multiplier": fused.multiplier,
-                    "no_information": fused.no_information,
-                    "rmse": float(np.sqrt(fused.variance)),
-                    "cv": (
-                        float(np.sqrt(fused.variance)) / fused.estimate
-                        if fused.estimate > 0
-                        else float("nan")
-                    ),
-                }
-            )
-            for i, w in enumerate(fused.weights):
-                fused_row[f"alpha_{i + 1}"] = float(w)
+            sd = float(np.sqrt(fused.variance))
+            fused_row = {
+                **base,
+                "estimate": fused.estimate,
+                "variance": fused.variance,
+                "multiplier": fused.multiplier,
+                "no_information": fused.no_information,
+                "rmse": sd,
+                "cv": sd / fused.estimate if fused.estimate > 0 else float("nan"),
+                **{f"alpha_{i + 1}": float(w) for i, w in enumerate(fused.weights)},
+            }
             report.fused_rows.append(fused_row)
-            per_rep.setdefault("fused", []).append(fused_row)
+            per_rep["fused"].append(fused_row)
 
-        for estimator_id in [*density_ids, "fused", "nominal", "q_ref"]:
-            if insufficient:
-                report.convergence_rows.append(
-                    {
-                        "n": n_total,
-                        "estimator_id": estimator_id,
-                        "estimate": None,
-                        "rmse": None,
-                        "cv": None,
-                        "flag": "insufficient",
-                    }
-                )
-                continue
-            rows = per_rep.get(estimator_id, [])
-            report.convergence_rows.append(
-                {
-                    "n": n_total,
-                    "estimator_id": estimator_id,
-                    "estimate": _nan_mean([r["estimate"] for r in rows]),
-                    "rmse": _nan_mean([r["rmse"] for r in rows]),
-                    "cv": _nan_mean([r["cv"] for r in rows]),
-                    "flag": "",
-                }
-            )
+        report.convergence_rows += [
+            {
+                "n": n_total,
+                "estimator_id": e,
+                **{s: _nan_mean([r[s] for r in per_rep[e]]) for s in _STATS},
+                "flag": "",
+            }
+            for e in estimator_ids
+        ]
 
+    # each of the fused, reference and MC estimators spends the full budget
+    spent = config.repetitions * sum(n for n in config.n_grid if n // k >= 2)
     report.budget = {
-        "fused_samples": fused_samples,
-        "reference_samples": reference_samples,
-        "mc_samples": mc_samples,
-        "total_budget_samples": fused_samples + reference_samples + mc_samples,
-        "actual_hf_evaluations": hf.evaluations,
+        "fused_samples": spent,
+        "reference_samples": spent,
+        "mc_samples": spent,
+        "total_budget_samples": 3 * spent,
+        "actual_hf_evaluations": hf_evaluations,
     }
     report.timings["estimation_s"] = time.perf_counter() - t0
 
 
 def _subset_phase(config: ExperimentConfig, benchmark: Benchmark, report: CampaignReport):
     t0 = time.perf_counter()
-    hf = CountingModel(benchmark.high_fidelity)
     for rep in range(config.repetitions):
-        rng = _stream(config.seed, 3, rep)
         result = subset_simulation(
-            hf,
+            benchmark.high_fidelity,
             benchmark.limit_state,
             benchmark.nominal,
             config.subset.N,
             config.subset.p0,
             config.subset.max_levels,
-            rng,
+            _stream(config.seed, 3, rep),
         )
-        row = {
-            "config_hash": report.config_hash,
-            "seed": config.seed,
-            "repetition": rep,
-            "converged": result.converged,
-            "model_evals": result.total_model_evals,
-        }
-        row.update(result.csv_row())
-        report.subset_rows.append(row)
-    report.budget.setdefault("subset_hf_evaluations", hf.evaluations)
+        report.subset_rows.append(
+            {
+                "config_hash": report.config_hash,
+                "seed": config.seed,
+                "repetition": rep,
+                "converged": result.converged,
+                "model_evals": result.total_model_evals,
+                **result.csv_row(),
+            }
+        )
+    evaluations = sum(row["model_evals"] for row in report.subset_rows)
+    report.budget["subset_hf_evaluations"] = evaluations
     report.timings["subset_s"] = time.perf_counter() - t0
 
 
-def _write_outputs(report: CampaignReport, out_dir: Path) -> None:
+def _write_outputs(report: CampaignReport, out_dir: Path) -> list[str]:
+    """Write every output file that has content; returns the names written."""
     out_dir.mkdir(parents=True, exist_ok=True)
     config = report.config
-
+    reference = report.reference_report.to_dict() if report.reference_report else None
     densities_doc = {
         "config_hash": report.config_hash,
         "benchmark": config.benchmark,
         "densities": [r.to_dict() for r in report.density_reports],
-        "reference": (
-            report.reference_report.to_dict() if report.reference_report else None
-        ),
+        "reference": reference,
     }
-    (out_dir / "densities.json").write_text(
-        json.dumps(densities_doc, indent=2, sort_keys=True) + "\n"
-    )
-
-    if report.estimator_rows:
-        _write_csv(
-            out_dir / "estimates.csv",
-            [
-                "config_hash",
-                "seed",
-                "n_total",
-                "repetition",
-                "density_id",
-                "kind",
-                "n",
-                "estimate",
-                "sample_variance",
-                "hits",
-                "rmse",
-                "cv",
-            ],
-            report.estimator_rows,
-        )
-    if report.fused_rows:
-        k = len(report.density_reports)
-        _write_csv(
-            out_dir / "weights.csv",
-            [
-                "config_hash",
-                "seed",
-                "n_total",
-                "repetition",
-                "estimate",
-                "variance",
-                "multiplier",
-                "no_information",
-                *[f"alpha_{i + 1}" for i in range(k)],
-            ],
-            report.fused_rows,
-        )
-    if report.convergence_rows:
-        _write_csv(
-            out_dir / "convergence.csv",
-            ["n", "estimator_id", "estimate", "rmse", "cv", "flag"],
-            report.convergence_rows,
-        )
-    if report.subset_rows:
-        _write_csv(
-            out_dir / "subset.csv",
-            [
-                "config_hash",
-                "seed",
-                "repetition",
-                "samples",
-                "samples_each_level",
-                "levels",
-                "estimate",
-                "approx_cv",
-                "converged",
-                "model_evals",
-            ],
-            report.subset_rows,
-        )
-
     report_doc = {
         "config": config.to_dict(),
         "config_hash": report.config_hash,
         "budget": report.budget,
         "timings": report.timings,
-        "density_reports": [r.to_dict() for r in report.density_reports],
-        "reference_report": (
-            report.reference_report.to_dict() if report.reference_report else None
-        ),
+        "density_reports": densities_doc["densities"],
+        "reference_report": reference,
         "fused": report.fused_rows,
         "subset": report.subset_rows,
     }
-    (out_dir / "report.json").write_text(json.dumps(report_doc, indent=2) + "\n")
+    run_columns = ["config_hash", "seed", "n_total", "repetition"]
+    alphas = [f"alpha_{i + 1}" for i in range(len(report.density_reports))]
+    # (name, CSV columns or None for a JSON file, rows or the JSON text)
+    files = [
+        ("densities.json", None, json.dumps(densities_doc, indent=2, sort_keys=True)),
+        ("estimates.csv", [*run_columns, *_ESTIMATE_COLUMNS], report.estimator_rows),
+        ("weights.csv", [*run_columns, *_WEIGHT_COLUMNS, *alphas], report.fused_rows),
+        ("convergence.csv", ["n", "estimator_id", *_STATS, "flag"], report.convergence_rows),
+        ("subset.csv", _SUBSET_COLUMNS, report.subset_rows),
+        ("report.json", None, json.dumps(report_doc, indent=2)),
+    ]
+    written = []
+    for name, columns, content in files:
+        if columns is None:
+            (out_dir / name).write_text(content + "\n")
+        elif content:
+            _write_csv(out_dir / name, columns, content)
+        else:
+            continue
+        written.append(name)
+    return written
 
 
 def run_experiment(config: ExperimentConfig) -> CampaignReport:
@@ -502,16 +415,13 @@ def run_experiment(config: ExperimentConfig) -> CampaignReport:
     if config.mode in ("subset", "all"):
         _subset_phase(config, benchmark, report)
 
-    _write_outputs(report, Path(config.output_dir))
+    report.files = _write_outputs(report, Path(config.output_dir))
     return report
 
 
 def convergence_study(config: ExperimentConfig) -> list[dict]:
-    """Run the convergence phase; returns the (n, estimator_id, ...) rows."""
-    doc = config.to_dict()
-    doc["mode"] = "convergence"
-    report = run_experiment(ExperimentConfig.from_dict(doc))
-    return report.convergence_rows
+    """Run the convergence phase; returns the rows of ``convergence.csv``."""
+    return run_experiment(replace(config, mode="convergence")).convergence_rows
 
 
 def main(argv=None) -> int:
@@ -556,17 +466,12 @@ def main(argv=None) -> int:
         return 2
     try:
         report = run_experiment(config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except Exception as exc:  # model failures and numerical breakdowns
         print(f"run failed: {exc}", file=sys.stderr)
         return 3
-    out = Path(config.output_dir)
-    print(f"wrote outputs to {out.resolve()}")
-    for name in ("densities.json", "estimates.csv", "weights.csv", "convergence.csv", "subset.csv", "report.json"):
-        if (out / name).exists():
-            print(f"  {name}")
+    print(f"wrote outputs to {Path(config.output_dir).resolve()}")
+    for name in report.files:
+        print(f"  {name}")
     return 0
 
 

@@ -50,6 +50,8 @@ class EstimatorResult:
 
     ``hits`` counts raw indicator successes even in IS mode; a healthy
     biasing density produces hits on a sizable fraction of its draws.
+    ``model_evals`` counts the points handed to the model: ``n`` for MC,
+    only the draws inside the nominal support for IS.
     """
 
     estimate: float
@@ -58,6 +60,7 @@ class EstimatorResult:
     hits: int
     density_id: str
     kind: str  # "MC" | "IS"
+    model_evals: int = 0
 
     @property
     def variance(self) -> float:
@@ -107,7 +110,7 @@ def monte_carlo_estimate(
         sample_variance = 0.0
     else:
         sample_variance = (n / (n - 1.0)) * p_hat * (1.0 - p_hat)
-    return EstimatorResult(p_hat, n, sample_variance, hits, density_id, "MC")
+    return EstimatorResult(p_hat, n, sample_variance, hits, density_id, "MC", n)
 
 
 def importance_sampling_estimate(
@@ -136,6 +139,7 @@ def importance_sampling_estimate(
 
     weights = np.empty(n)
     hits = 0
+    evals = 0
     done = 0
     while done < n:
         batch = min(_CHUNK, n - done)
@@ -148,6 +152,7 @@ def importance_sampling_estimate(
         p_vals = np.atleast_1d(nominal.pdf(pts))
         ind = np.zeros(batch)
         inside = p_vals > 0.0
+        evals += int(inside.sum())
         if inside.any():
             g = ls.evaluate(model.evaluate(pts[inside]))
             ind[inside] = g < 0.0
@@ -161,7 +166,7 @@ def importance_sampling_estimate(
         sample_variance = 0.0
     else:
         sample_variance = math.fsum((weights - estimate) ** 2) / (n - 1.0)
-    return EstimatorResult(estimate, n, sample_variance, hits, density_id, "IS")
+    return EstimatorResult(estimate, n, sample_variance, hits, density_id, "IS", evals)
 
 
 def rmse(result: EstimatorResult) -> float:

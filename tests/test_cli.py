@@ -1,5 +1,7 @@
 import csv
+import dataclasses
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +16,22 @@ from rarefuse.cli import (
     main,
     run_experiment,
 )
+from rarefuse.models import get_benchmark
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+OUTPUT_FILES = [
+    "densities.json",
+    "estimates.csv",
+    "weights.csv",
+    "convergence.csv",
+    "subset.csv",
+    "report.json",
+]
+
+
+def listed_files(stdout):
+    """File names that ``rarefuse run`` lists under its output directory."""
+    return [line.strip() for line in stdout.splitlines() if line.startswith("  ")]
 
 
 def small_config(tmp_path, **overrides):
@@ -39,6 +57,13 @@ BAD_VALUES = [
     {"subset": {"p0": 0.0}},
     {"subset": {"max_levels": 0}},
     {"subset": 5},
+    {"repetitions": 1.5},
+    {"m": 2000.5},
+    {"n_grid": [300.5]},
+    {"seed": 1.5},
+    {"subset": {"N": 1000.5}},
+    {"subset": {"max_levels": 2.5}},
+    {"repetitions": True},
 ]
 BAD_VALUE_IDS = [
     "unknown-benchmark",
@@ -48,6 +73,13 @@ BAD_VALUE_IDS = [
     "subset-p0-0",
     "subset-max-levels-0",
     "subset-number",
+    "repetitions-1.5",
+    "m-2000.5",
+    "n-grid-300.5",
+    "seed-1.5",
+    "subset-N-1000.5",
+    "subset-max-levels-2.5",
+    "repetitions-true",
 ]
 
 
@@ -146,6 +178,32 @@ class TestRunExperiment:
         assert report.budget["total_budget_samples"] == 3 * expected_fused
         # every sample lands inside the Gaussian domain, so budget == evals
         assert report.budget["actual_hf_evaluations"] == 3 * expected_fused
+
+    def test_budget_counts_hf_points_seen(self, tmp_path, monkeypatch):
+        import rarefuse.cli as cli_mod
+
+        bench = get_benchmark("arrhenius-2d")
+        seen = []
+
+        def fn(pts):
+            seen.append(pts.shape[0])
+            return bench.high_fidelity.fn(pts)
+
+        counted = dataclasses.replace(
+            bench, high_fidelity=dataclasses.replace(bench.high_fidelity, fn=fn)
+        )
+        monkeypatch.setattr(cli_mod, "get_benchmark", lambda name: counted)
+        estimate_phase = cli_mod._estimate_phase
+
+        def count_estimates(config, benchmark, report):
+            seen.clear()  # the reference density build also calls the model
+            estimate_phase(config, benchmark, report)
+
+        monkeypatch.setattr(cli_mod, "_estimate_phase", count_estimates)
+        report = run_experiment(small_config(tmp_path, benchmark="arrhenius-2d"))
+        # IS draws outside the box never reach the model
+        assert report.budget["actual_hf_evaluations"] == sum(seen)
+        assert sum(seen) < report.budget["total_budget_samples"]
 
     def test_insufficient_budget_flagged(self, tmp_path):
         config = small_config(tmp_path, n_grid=[4, 300])
@@ -248,6 +306,35 @@ class TestCommandLine:
         path.write_text(json.dumps(doc))
         assert main(["run", "--config", str(path)]) == 2
         assert not (tmp_path / "out").exists()
+
+    def test_run_lists_only_files_it_wrote(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        doc = {
+            "benchmark": "linear-gaussian-2.5",
+            "m": 2000,
+            "n_grid": [120],
+            "seed": 1,
+            "output_dir": str(out),
+            "subset": {"N": 200},
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**doc, "mode": "all"}))
+        assert main(["run", "--config", str(path)]) == 0
+        assert listed_files(capsys.readouterr().out) == OUTPUT_FILES
+        path.write_text(json.dumps({**doc, "mode": "build_densities"}))
+        assert main(["run", "--config", str(path)]) == 0
+        assert listed_files(capsys.readouterr().out) == ["densities.json", "report.json"]
+        # files of the earlier run stay on disk; they are just not listed
+        assert (out / "estimates.csv").exists()
+
+    def test_readme_example_config_runs(self, tmp_path, capsys):
+        block = re.search(r"```json\n(.*?)```", README.read_text(), re.S)
+        doc = json.loads(block.group(1))
+        doc["output_dir"] = str(tmp_path / "out")
+        path = tmp_path / "experiment.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", "--config", str(path)]) == 0
+        assert listed_files(capsys.readouterr().out) == OUTPUT_FILES
 
     def test_run_missing_file_exit_2(self):
         assert main(["run", "--config", "/nonexistent/cfg.json"]) == 2

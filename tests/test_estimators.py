@@ -161,6 +161,27 @@ class TestImportanceSampling:
         assert r.estimate >= 0.0
         assert r.hits <= r.n
 
+    def test_model_evals_counts_only_in_domain_points(self):
+        # draws outside the nominal box skip the model and cost nothing
+        b = get_benchmark("arrhenius-2d")
+        seen = []
+
+        def fn(pts):
+            seen.append(pts.shape[0])
+            return b.high_fidelity.fn(pts)
+
+        hf = Model(fn, 2, 1)
+        q = GaussianMixture([(1.0, [1.4e13, 2.0e3], np.diag([1.0e24, 1.0e6]))])
+        n = 5000
+        r = importance_sampling_estimate(
+            hf, b.limit_state, b.nominal, q, n, np.random.default_rng(5)
+        )
+        assert r.model_evals == sum(seen)
+        assert 0 < r.model_evals < n
+        seen.clear()
+        mc = monte_carlo_estimate(hf, b.limit_state, b.nominal, n, np.random.default_rng(5))
+        assert mc.model_evals == sum(seen) == n
+
     def test_partial_support_biasing_rejected(self):
         b = get_benchmark("arrhenius-2d")
         shrunk = UniformBox([6e11, 2e3], [1e13, 9e3])
