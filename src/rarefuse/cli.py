@@ -42,9 +42,10 @@ __all__ = [
     "main",
 ]
 
-MODES = ("build_densities", "convergence", "fuse", "subset", "all")
-# per-budget statistics in convergence.csv, averaged over repetitions
+MODES = ("build_densities", "fuse", "subset", "all")
+# per-budget means over the finite values; cv_reps counts the finite cvs
 _STATS = ("estimate", "rmse", "cv")
+_CONVERGENCE_COLUMNS = ["n", "estimator_id", *_STATS, "cv_reps", "flag"]
 _ESTIMATE_COLUMNS = [
     "density_id",
     "kind",
@@ -274,7 +275,7 @@ def _estimate_phase(config: ExperimentConfig, benchmark: Benchmark, report: Camp
                         hf, ls, nominal, density, n_i, rng, density_ids[slot]
                     )
                 )
-            fused = fuse(results, assume_independent=True)
+            fused = fuse(results)
             rng = _stream(config.seed, 2, n_idx, rep, 900)
             results.append(monte_carlo_estimate(hf, ls, nominal, n_total, rng, "nominal"))
             rng = _stream(config.seed, 2, n_idx, rep, 901)
@@ -315,6 +316,7 @@ def _estimate_phase(config: ExperimentConfig, benchmark: Benchmark, report: Camp
                 "n": n_total,
                 "estimator_id": e,
                 **{s: _nan_mean([r[s] for r in per_rep[e]]) for s in _STATS},
+                "cv_reps": sum(1 for r in per_rep[e] if np.isfinite(r["cv"])),
                 "flag": "",
             }
             for e in estimator_ids
@@ -387,7 +389,7 @@ def _write_outputs(report: CampaignReport, out_dir: Path) -> list[str]:
         ("densities.json", None, json.dumps(densities_doc, indent=2, sort_keys=True)),
         ("estimates.csv", [*run_columns, *_ESTIMATE_COLUMNS], report.estimator_rows),
         ("weights.csv", [*run_columns, *_WEIGHT_COLUMNS, *alphas], report.fused_rows),
-        ("convergence.csv", ["n", "estimator_id", *_STATS, "flag"], report.convergence_rows),
+        ("convergence.csv", _CONVERGENCE_COLUMNS, report.convergence_rows),
         ("subset.csv", _SUBSET_COLUMNS, report.subset_rows),
         ("report.json", None, json.dumps(report_doc, indent=2)),
     ]
@@ -408,9 +410,9 @@ def run_experiment(config: ExperimentConfig) -> CampaignReport:
     benchmark = get_benchmark(config.benchmark)
     report = CampaignReport(config=config, config_hash=config.hash())
 
-    if config.mode in ("build_densities", "convergence", "fuse", "all"):
+    if config.mode in ("build_densities", "fuse", "all"):
         _build_phase(config, benchmark, report)
-    if config.mode in ("convergence", "fuse", "all"):
+    if config.mode in ("fuse", "all"):
         _estimate_phase(config, benchmark, report)
     if config.mode in ("subset", "all"):
         _subset_phase(config, benchmark, report)
@@ -421,7 +423,7 @@ def run_experiment(config: ExperimentConfig) -> CampaignReport:
 
 def convergence_study(config: ExperimentConfig) -> list[dict]:
     """Run the convergence phase; returns the rows of ``convergence.csv``."""
-    return run_experiment(replace(config, mode="convergence")).convergence_rows
+    return run_experiment(replace(config, mode="fuse")).convergence_rows
 
 
 def main(argv=None) -> int:

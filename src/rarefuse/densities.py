@@ -6,7 +6,8 @@ axis-aligned box (the usual nominal input law) and a Gaussian mixture
 pdf at single points or at batches of points and draw reproducible
 samples from a ``numpy.random.Generator``.  The class attribute
 ``full_support`` says whether the density is positive on all of R^d,
-which importance sampling requires of a biasing density.
+which importance sampling requires of a biasing density; subset
+simulation samples the unit cube and maps it through ``from_unit_cube``.
 
 Densities are immutable after construction and safe to share across
 threads; every sampling call owns its generator.
@@ -18,6 +19,7 @@ import json
 import math
 
 import numpy as np
+from scipy.special import ndtri
 
 __all__ = [
     "UniformBox",
@@ -29,8 +31,8 @@ __all__ = [
     "DEFAULT_REGULARIZATION",
 ]
 
-# Relative ridge added to fitted covariances, scaled by trace/d.  Keeps the
-# Cholesky factor well defined for near-degenerate failure clouds.
+# Relative ridge added to each diagonal entry of fitted covariances.  Keeps
+# the Cholesky factor well defined for near-degenerate failure clouds.
 DEFAULT_REGULARIZATION = 1e-10
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -87,6 +89,10 @@ class UniformBox:
         if count < 0:
             raise ValueError("count must be nonnegative")
         return rng.uniform(self.lower, self.upper, size=(count, self.d))
+
+    def from_unit_cube(self, u: np.ndarray) -> np.ndarray:
+        """Map unit-cube points (n, d) affinely onto the box."""
+        return self.lower + u * (self.upper - self.lower)
 
     def to_dict(self) -> dict:
         return {
@@ -191,6 +197,16 @@ class GaussianMixture:
             out[mask] = self.means[i] + normals[mask] @ self._chols[i].T
         return out
 
+    def from_unit_cube(self, u: np.ndarray) -> np.ndarray:
+        """Map unit-cube points (n, d) through the coordinate-wise normal
+        quantile, then the Cholesky factor; single-component mixtures only."""
+        if self.n_components != 1:
+            raise ValueError(
+                "only single-component Gaussian nominals are transformable"
+            )
+        z = ndtri(np.clip(u, 1e-15, 1.0 - 1e-15))
+        return self.means[0] + z @ self._chols[0].T
+
     def to_dict(self) -> dict:
         return {
             "type": "gaussian_mixture",
@@ -221,17 +237,17 @@ class GaussianMixture:
         return f"GaussianMixture(d={self.d}, n_components={self.n_components})"
 
 
-def fit_gaussian(samples, regularization: float = DEFAULT_REGULARIZATION) -> GaussianMixture:
+def fit_gaussian(samples) -> GaussianMixture:
     """Fit a one-component Gaussian mixture to the given samples.
 
     Uses the sample mean and the unbiased (n-1 divisor) sample covariance,
     then inflates each diagonal entry by the relative ridge
-    ``regularization * cov[i, i]``.  The ridge is applied per coordinate
-    rather than as an isotropic trace/d multiple: parameter domains can
-    mix wildly different scales (e.g. 1e13 against 1e3), and an isotropic
-    ridge would swamp the small-scale coordinates.  Requires at least d+2
-    samples, which makes the sample covariance almost surely nonsingular
-    for continuous data.
+    ``DEFAULT_REGULARIZATION * cov[i, i]``.  The ridge is applied per
+    coordinate rather than as an isotropic trace/d multiple: parameter
+    domains can mix wildly different scales (e.g. 1e13 against 1e3), and
+    an isotropic ridge would swamp the small-scale coordinates.  Requires
+    at least d+2 samples, which makes the sample covariance almost surely
+    nonsingular for continuous data.
 
     Raises
     ------
@@ -241,8 +257,6 @@ def fit_gaussian(samples, regularization: float = DEFAULT_REGULARIZATION) -> Gau
     ValueError
         Degenerate samples whose regularized covariance is still singular.
     """
-    if regularization < 0.0:
-        raise ValueError("regularization must be nonnegative")
     pts = np.asarray(samples, dtype=float)
     if pts.ndim == 1:
         pts = pts.reshape(-1, 1)
@@ -255,7 +269,7 @@ def fit_gaussian(samples, regularization: float = DEFAULT_REGULARIZATION) -> Gau
     centered = pts - mean
     cov = centered.T @ centered / (n - 1)
     cov = 0.5 * (cov + cov.T)
-    cov[np.diag_indices(d)] *= 1.0 + regularization
+    cov[np.diag_indices(d)] *= 1.0 + DEFAULT_REGULARIZATION
     return GaussianMixture([(1.0, mean, cov)])
 
 

@@ -224,15 +224,13 @@ def dominance_criterion(variances, candidate_variance: float) -> bool:
 
 
 def fuse(
-    results: list[EstimatorResult],
-    assume_independent: bool = True,
-    covariance: CovarianceMatrix | None = None,
+    results: list[EstimatorResult], covariance: CovarianceMatrix | None = None
 ) -> FusedResult:
     """Fuse unbiased estimator results into a minimum-variance estimate.
 
-    With ``assume_independent`` the covariance is the diagonal of the
-    per-estimator variances ``sample_variance_i / n_i``; otherwise a full
-    :class:`CovarianceMatrix` over the inputs must be supplied.
+    Without ``covariance`` the estimators count as independent, with
+    inverse-variance weights from ``sample_variance_i / n_i``; a full
+    :class:`CovarianceMatrix` over the inputs selects the KKT solution.
 
     Degenerate-input policy: a result with zero sample variance and a zero
     estimate carries no information about the failure region and is
@@ -273,17 +271,11 @@ def fuse(
     )
     estimates = np.array([results[i].estimate for i in included])
 
-    if assume_independent:
-        if covariance is not None:
-            raise ValueError(
-                "covariance must not be supplied when assume_independent is set"
-            )
+    if covariance is None:
         sub_weights, variance = optimal_weights_diagonal(variances)
         multiplier = -variance
         cov_used = CovarianceMatrix.diagonal(variances)
     else:
-        if covariance is None:
-            raise ValueError("correlated fusion requires an explicit covariance")
         if covariance.k != k_in:
             raise ValueError("covariance size must match the number of results")
         sub = covariance.entries[np.ix_(included, included)]

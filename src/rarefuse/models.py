@@ -17,7 +17,7 @@ Two desk-scale benchmarks are built in:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from scipy.special import ndtr

@@ -6,12 +6,12 @@ Thresholds are picked adaptively as the p0-quantile of each level's
 limit-state values; conditional levels are populated by Metropolis
 chains seeded with the surviving samples, all advancing in lockstep.
 
-All sampling happens in the unit hypercube through the probability
-integral transform of the nominal density, which makes the proposal scale
-domain-independent.  In that space the nominal density is uniform, so the
-coordinate-wise Metropolis acceptance ratio is identically one and a move
-is accepted exactly when the transformed candidate stays inside the
-current intermediate failure set.
+All sampling happens in the unit hypercube, which the nominal density's
+``from_unit_cube`` maps to the model's domain; this makes the proposal
+scale domain-independent.  In that space the nominal density is uniform,
+so the coordinate-wise Metropolis acceptance ratio is identically one and
+a move is accepted exactly when the transformed candidate stays inside
+the current intermediate failure set.
 
 The subset estimate is biased for finite N (unlike the importance-sampling
 estimators in this package); no bias correction is applied.
@@ -23,14 +23,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtri
 
-from .densities import GaussianMixture, UniformBox
 from .models import LimitState, Model
 
 __all__ = ["SubsetResult", "subset_simulation", "mcmc_conditional_step"]
 
-DEFAULT_PROPOSAL_WIDTH = 0.5
+PROPOSAL_WIDTH = 0.5
 
 
 @dataclass(frozen=True)
@@ -55,35 +53,6 @@ class SubsetResult:
             "estimate": self.estimate,
             "approx_cv": self.approx_cv,
         }
-
-
-def unit_cube_transform(nominal):
-    """Map from the unit hypercube to the nominal distribution's space.
-
-    Supports uniform boxes (affine rescale) and single-component Gaussian
-    mixtures (coordinate-wise normal quantile, then the Cholesky factor).
-    """
-    if isinstance(nominal, UniformBox):
-        lower, width = nominal.lower, nominal.upper - nominal.lower
-
-        def transform(u):
-            return lower + u * width
-
-        return transform, nominal.d
-    if isinstance(nominal, GaussianMixture):
-        if nominal.n_components != 1:
-            raise ValueError(
-                "only single-component Gaussian nominals are transformable"
-            )
-        mean = nominal.means[0]
-        chol = nominal._chols[0]
-
-        def transform(u):
-            z = ndtri(np.clip(u, 1e-15, 1.0 - 1e-15))
-            return mean + z @ chol.T
-
-        return transform, nominal.d
-    raise ValueError("nominal density not transformable to the unit hypercube")
 
 
 def _reflect(x: np.ndarray) -> np.ndarray:
@@ -125,10 +94,10 @@ def mcmc_conditional_step(
     """One Metropolis step conditioned on the event g <= threshold.
 
     ``chain_state`` lives in the unit hypercube and ``model`` must act on
-    unit-cube coordinates (compose it with :func:`unit_cube_transform` for
-    models defined on the original domain).  This is the single-chain case
-    of the move subset simulation uses: the candidate is kept iff it stays
-    in the conditioning event, otherwise the current state repeats.
+    unit-cube coordinates (compose it with a density's ``from_unit_cube``
+    for models defined on the original domain).  This is the single-chain
+    case of the move subset simulation uses: the candidate is kept iff it
+    stays in the conditioning event, otherwise the current state repeats.
     """
     state = np.asarray(chain_state, dtype=float).reshape(1, -1)
     new_state, _ = _metropolis_move(
@@ -209,7 +178,6 @@ def subset_simulation(
     p0: float,
     max_levels: int,
     rng: np.random.Generator,
-    proposal_width: float = DEFAULT_PROPOSAL_WIDTH,
     keep_samples: bool = False,
 ) -> SubsetResult:
     """Estimate the failure probability by subset simulation.
@@ -218,7 +186,8 @@ def subset_simulation(
     ceil(p0*N)-th smallest limit-state value of the level (clamped to 0,
     which terminates), and the next level grows from the samples at or
     below b_j via Metropolis chains.  The estimate is p0^(L-1) times the
-    final level's failure fraction.
+    final level's failure fraction.  ``nominal`` needs only ``d`` and
+    ``from_unit_cube``, the map from the unit cube to the model's domain.
 
     The reported coefficient of variation follows the standard
     approximation: cv^2 = sum_j (1-p_j)/(N p_j) * (1+gamma_j) with gamma_j
@@ -233,12 +202,10 @@ def subset_simulation(
     if max_levels < 1:
         raise ValueError("max_levels must be >= 1")
 
-    transform, d = unit_cube_transform(nominal)
-
     def g_of_points(u):
-        return ls.evaluate(model.evaluate(transform(u)))
+        return ls.evaluate(model.evaluate(nominal.from_unit_cube(u)))
 
-    points = rng.random((N, d))
+    points = rng.random((N, nominal.d))
     g_vals = g_of_points(points)
     total_evals = N
 
@@ -279,7 +246,7 @@ def subset_simulation(
         if converged or level >= max_levels:
             break
         points, g_vals, new_evals, lengths = _grow_chains(
-            points[seed_mask], g_vals[seed_mask], b, N, proposal_width, rng, g_of_points
+            points[seed_mask], g_vals[seed_mask], b, N, PROPOSAL_WIDTH, rng, g_of_points
         )
         total_evals += new_evals
         level += 1

@@ -4,6 +4,7 @@ import json
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +33,11 @@ OUTPUT_FILES = [
 def listed_files(stdout):
     """File names that ``rarefuse run`` lists under its output directory."""
     return [line.strip() for line in stdout.splitlines() if line.startswith("  ")]
+
+
+def read_csv(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 def small_config(tmp_path, **overrides):
@@ -64,6 +70,7 @@ BAD_VALUES = [
     {"subset": {"N": 1000.5}},
     {"subset": {"max_levels": 2.5}},
     {"repetitions": True},
+    {"mode": "convergence"},
 ]
 BAD_VALUE_IDS = [
     "unknown-benchmark",
@@ -80,6 +87,7 @@ BAD_VALUE_IDS = [
     "subset-N-1000.5",
     "subset-max-levels-2.5",
     "repetitions-true",
+    "mode-convergence",
 ]
 
 
@@ -258,6 +266,29 @@ class TestRunExperiment:
         ns = {r["n"] for r in rows}
         assert ns == set(config.n_grid)
 
+    def test_cv_reps_counts_repetitions_with_a_cv(self, tmp_path):
+        # the cv of a repetition exists iff its estimate is positive
+        config = small_config(
+            tmp_path, benchmark="arrhenius-2d", n_grid=[4, 30, 300], seed=7,
+            repetitions=40,
+        )
+        run_experiment(config)
+        out = Path(config.output_dir)
+        hits = Counter()
+        for row in read_csv(out / "estimates.csv"):
+            hits[row["n_total"], row["density_id"]] += float(row["estimate"]) > 0
+        for row in read_csv(out / "weights.csv"):
+            hits[row["n_total"], "fused"] += float(row["estimate"]) > 0
+        partial = 0
+        for row in read_csv(out / "convergence.csv"):
+            if row["flag"] == "insufficient":
+                assert row["cv_reps"] == ""
+                continue
+            reps = int(row["cv_reps"])
+            assert reps == hits[row["n"], row["estimator_id"]], row
+            partial += 0 < reps < config.repetitions
+        assert partial > 0
+
     def test_csv_floats_17_significant_digits(self, tmp_path):
         config = small_config(tmp_path)
         run_experiment(config)
@@ -335,6 +366,11 @@ class TestCommandLine:
         path.write_text(json.dumps(doc))
         assert main(["run", "--config", str(path)]) == 0
         assert listed_files(capsys.readouterr().out) == OUTPUT_FILES
+
+    def test_readme_library_example_runs(self, capsys):
+        block = re.search(r"```python\n(.*?)```", README.read_text(), re.S)
+        exec(compile(block.group(1), str(README), "exec"), {})
+        assert capsys.readouterr().out
 
     def test_run_missing_file_exit_2(self):
         assert main(["run", "--config", "/nonexistent/cfg.json"]) == 2

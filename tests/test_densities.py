@@ -178,6 +178,30 @@ class TestFitGaussian:
         np.testing.assert_allclose(gm.covariances[0], cov, rtol=0.10, atol=0.02)
 
 
+class TestUnitCubeTransform:
+    def test_uniform_box(self):
+        box = UniformBox([1.0, -2.0], [3.0, 0.0])
+        np.testing.assert_allclose(
+            box.from_unit_cube(np.array([[0.0, 0.0], [1.0, 1.0], [0.5, 0.5]])),
+            [[1.0, -2.0], [3.0, 0.0], [2.0, -1.0]],
+        )
+
+    def test_gaussian_quantiles(self):
+        gm = GaussianMixture([(1.0, [1.0, 0.0], np.diag([4.0, 1.0]))])
+        mid = gm.from_unit_cube(np.array([[0.5, 0.5]]))
+        np.testing.assert_allclose(mid, [[1.0, 0.0]], atol=1e-12)
+        # 0.8413... quantile of the first coordinate is mean + one sigma
+        q = gm.from_unit_cube(np.array([[float(ndtr(1.0)), 0.5]]))
+        assert q[0, 0] == pytest.approx(3.0, abs=1e-9)
+
+    def test_multicomponent_rejected(self):
+        gm = GaussianMixture(
+            [(0.5, [0.0], [[1.0]]), (0.5, [2.0], [[1.0]])]
+        )
+        with pytest.raises(ValueError, match="transformable"):
+            gm.from_unit_cube(np.array([[0.5]]))
+
+
 class TestSerialization:
     def test_uniform_roundtrip(self):
         box = UniformBox([0.25, -1.5], [2.0, 3.5])

@@ -230,15 +230,10 @@ class TestFuse:
         # the floored estimator dominates the weights
         assert f.weights[0] == pytest.approx(1.0, abs=1e-10)
 
-    def test_correlated_requires_covariance(self):
-        rs = [result(0.01, 100, 0.04), result(0.012, 200, 0.02)]
-        with pytest.raises(ValueError, match="covariance"):
-            fuse(rs, assume_independent=False)
-
     def test_correlated_fusion_with_supplied_covariance(self):
         rs = [result(0.010, 100, 4.0, "a"), result(0.014, 100, 4.0, "b")]
         cov = CovarianceMatrix(np.array([[0.04, 0.02], [0.02, 0.04]]))
-        f = fuse(rs, assume_independent=False, covariance=cov)
+        f = fuse(rs, covariance=cov)
         np.testing.assert_allclose(f.weights, [0.5, 0.5], atol=1e-12)
         assert f.estimate == pytest.approx(0.012, rel=1e-12)
         assert f.variance == pytest.approx(0.03, rel=1e-12)

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from rarefuse.densities import GaussianMixture, UniformBox
 from rarefuse.models import LimitState, Model, get_benchmark, make_linear_gaussian
 from rarefuse.models import oracle_failure_probability
 from rarefuse.subset_sim import (
@@ -13,7 +12,6 @@ from rarefuse.subset_sim import (
     _grow_chains,
     mcmc_conditional_step,
     subset_simulation,
-    unit_cube_transform,
 )
 
 from helpers_oracles import chain_correlation_factor_loop
@@ -22,34 +20,6 @@ from helpers_oracles import chain_correlation_factor_loop
 def cube_model(fn, d=2):
     """Model acting directly on unit-cube coordinates."""
     return Model(fn, d, 1)
-
-
-class TestUnitCubeTransform:
-    def test_uniform_box(self):
-        box = UniformBox([1.0, -2.0], [3.0, 0.0])
-        transform, d = unit_cube_transform(box)
-        np.testing.assert_allclose(
-            transform(np.array([[0.0, 0.0], [1.0, 1.0], [0.5, 0.5]])),
-            [[1.0, -2.0], [3.0, 0.0], [2.0, -1.0]],
-        )
-
-    def test_gaussian_quantiles(self):
-        gm = GaussianMixture([(1.0, [1.0, 0.0], np.diag([4.0, 1.0]))])
-        transform, d = unit_cube_transform(gm)
-        mid = transform(np.array([[0.5, 0.5]]))
-        np.testing.assert_allclose(mid, [[1.0, 0.0]], atol=1e-12)
-        # 0.8413... quantile of the first coordinate is mean + one sigma
-        from scipy.special import ndtr
-
-        q = transform(np.array([[float(ndtr(1.0)), 0.5]]))
-        assert q[0, 0] == pytest.approx(3.0, abs=1e-9)
-
-    def test_multicomponent_rejected(self):
-        gm = GaussianMixture(
-            [(0.5, [0.0], [[1.0]]), (0.5, [2.0], [[1.0]])]
-        )
-        with pytest.raises(ValueError, match="transformable"):
-            unit_cube_transform(gm)
 
 
 class TestMcmcConditionalStep:
@@ -229,6 +199,25 @@ class TestSubsetSimulation:
         p = oracle_failure_probability(b)
         assert res.converged
         assert abs(res.estimate - p) < 4 * res.approx_cv * p
+
+    def test_duck_typed_nominal(self):
+        # the nominal needs only its dimension and the unit-cube map
+        b = get_benchmark("arrhenius-2d")
+
+        class CubeMap:
+            d = b.nominal.d
+
+            def from_unit_cube(self, u):
+                return b.nominal.from_unit_cube(u)
+
+        runs = [
+            subset_simulation(
+                b.high_fidelity, b.limit_state, nominal, 500, 0.1, 12,
+                np.random.default_rng(5),
+            )
+            for nominal in (b.nominal, CubeMap())
+        ]
+        assert runs[0] == runs[1]
 
 
 class TestChainKernel:
