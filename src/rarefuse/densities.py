@@ -151,8 +151,11 @@ class GaussianMixture:
         self.weights = w
         self.means = means
         self.covariances = covs
-        # Cholesky factors double as the positive-definiteness check.
+        # Cholesky factors double as the positive-definiteness check.  Each
+        # factor L draws samples (z = mean + normals @ L.T); its inverse,
+        # transposed, whitens points (y = (z - mean) @ inv(L).T).
         self._chols = []
+        self._whitens = []
         self._log_norms = []
         for cov in covs:
             try:
@@ -160,6 +163,7 @@ class GaussianMixture:
             except np.linalg.LinAlgError:
                 raise ValueError("covariance must be positive definite") from None
             self._chols.append(L)
+            self._whitens.append(np.linalg.inv(L).T)
             log_det = 2.0 * float(np.sum(np.log(np.diag(L))))
             self._log_norms.append(-0.5 * (d * _LOG_2PI + log_det))
         for arr in (self.weights, *self.means, *self.covariances):
@@ -174,12 +178,15 @@ class GaussianMixture:
         pts, single = _as_points(z, self.d)
         # log-sum-exp across components for tail stability
         logs = np.empty((self.n_components, pts.shape[0]))
-        for i, (mean, L) in enumerate(zip(self.means, self._chols)):
-            y = np.linalg.solve(L, (pts - mean).T)
-            quad = np.einsum("ij,ij->j", y, y)
+        for i, (mean, whiten) in enumerate(zip(self.means, self._whitens)):
+            y = (pts - mean) @ whiten
+            quad = np.einsum("ij,ij->i", y, y)
             logs[i] = math.log(self.weights[i]) + self._log_norms[i] - 0.5 * quad
-        top = logs.max(axis=0)
-        out = np.exp(top) * np.exp(logs - top).sum(axis=0)
+        if self.n_components == 1:
+            out = np.exp(logs[0])
+        else:
+            top = logs.max(axis=0)
+            out = np.exp(top) * np.exp(logs - top).sum(axis=0)
         return float(out[0]) if single else out
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
@@ -189,7 +196,9 @@ class GaussianMixture:
             raise ValueError("count must be nonnegative")
         normals = rng.standard_normal((count, self.d))
         if self.n_components == 1:
-            return self.means[0] + normals @ self._chols[0].T
+            out = normals @ self._chols[0].T
+            out += self.means[0]
+            return out
         idx = rng.choice(self.n_components, size=count, p=self.weights)
         out = np.empty((count, self.d))
         for i in range(self.n_components):

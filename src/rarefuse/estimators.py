@@ -5,10 +5,10 @@ its unbiased sample variance (n-1 divisor), and the raw failure-hit count.
 The variance of the *estimator* is ``sample_variance / n``; that is the
 quantity consumed by the fusion stage.
 
-Weighted indicators are accumulated with exact (compensated) summation so
-results do not depend on the order in which sample chunks are reduced --
-partitioning the work across any number of workers reproduces the same
-floating-point result.
+Weighted indicators are summed exactly and rounded once (the result is
+bit-identical to ``math.fsum``), so results do not depend on the order in
+which sample chunks are reduced -- partitioning the work across any number
+of workers reproduces the same floating-point result.
 """
 
 from __future__ import annotations
@@ -35,13 +35,21 @@ __all__ = [
 # independent of the chunking, so this only bounds peak memory.
 _CHUNK = 1 << 16
 
+# Values per block of the exact-sum kernel.  Mantissas are split into
+# halves below 2**27, so a per-exponent sum over one block stays below
+# 2**53 and every partial sum is an exactly representable integer.
+_SUM_BLOCK = 1 << 26
+# At or below this length math.fsum is faster than the kernel.
+_SUM_SMALL = 512
+
 
 class UndefinedCVError(ValueError):
     """Coefficient of variation requested for a zero estimate."""
 
 
 class BrokenBiasingDensityError(RuntimeError):
-    """A biasing density returned pdf 0 at one of its own samples."""
+    """A biasing density returned pdf 0 at one of its own samples, or a
+    likelihood ratio p/q that is not finite."""
 
 
 @dataclass(frozen=True)
@@ -81,9 +89,34 @@ class EstimatorResult:
         return row
 
 
-def _exact_mean(values: np.ndarray) -> float:
-    """Order-independent mean via exact summation."""
-    return math.fsum(values) / values.shape[0] if values.shape[0] else 0.0
+def _exact_sum(values: np.ndarray) -> float:
+    """Correctly rounded sum of a 1-d float array, bit-identical to
+    ``math.fsum`` (an exact zero sum is +0.0).
+
+    Each value is m * 2**e with m * 2**53 an integer below 2**53 in
+    magnitude (subnormals included).  The integer is split into a high and
+    a low half and each half is summed per exponent with ``np.bincount``;
+    those sums are exact integers.  They are combined as Python ints, and
+    one int/int division rounds the exact total once.  Short arrays go to
+    ``math.fsum`` directly, which gives the same bits faster.  Non-finite
+    values raise ``ValueError``.
+    """
+    if not np.isfinite(values).all():
+        raise ValueError("exact sum needs finite values")
+    if values.shape[0] <= _SUM_SMALL:
+        return math.fsum(values)
+    total = 0  # the exact sum so far, times 2**(1074 + 53)
+    for start in range(0, values.shape[0], _SUM_BLOCK):
+        mant, exps = np.frexp(values[start : start + _SUM_BLOCK])
+        mant *= 2.0**53
+        high = np.trunc(mant * 2.0**-26)
+        mant -= high * 2.0**26
+        exps += 1074  # frexp exponents of finite doubles are >= -1073
+        high_sums = np.bincount(exps, weights=high)
+        low_sums = np.bincount(exps, weights=mant)
+        for k in np.flatnonzero((high_sums != 0.0) | (low_sums != 0.0)).tolist():
+            total += ((int(high_sums[k]) << 26) + int(low_sums[k])) << k
+    return total / (1 << (1074 + 53))  # int / int true division rounds correctly
 
 
 def monte_carlo_estimate(
@@ -128,16 +161,24 @@ def importance_sampling_estimate(
     where the nominal density vanishes lie outside the input domain, carry
     zero weight, and skip the model evaluation entirely.  The biasing
     density must have full support (its ``full_support`` flag is set) or
-    equal the nominal density.
+    equal the nominal density; in the latter case the ratio is 1 and the
+    nominal pdf is not evaluated a second time.
+
+    Raises
+    ------
+    BrokenBiasingDensityError
+        The biasing pdf is 0 at one of its own samples, or some weight
+        p/q is not finite (q underflows where p does not).
     """
     if n < 2:
         raise ValueError("n must be >= 2 for the unbiased sample variance")
-    if not biasing.full_support and biasing != nominal:
+    same = biasing == nominal
+    if not biasing.full_support and not same:
         raise ValueError(
             "biasing density must have full support or equal the nominal density"
         )
 
-    weights = np.empty(n)
+    weights = np.zeros(n)
     hits = 0
     evals = 0
     done = 0
@@ -149,23 +190,35 @@ def importance_sampling_estimate(
             raise BrokenBiasingDensityError(
                 "biasing density evaluated to 0 at one of its own samples"
             )
-        p_vals = np.atleast_1d(nominal.pdf(pts))
-        ind = np.zeros(batch)
+        p_vals = q_vals if same else np.atleast_1d(nominal.pdf(pts))
         inside = p_vals > 0.0
-        evals += int(inside.sum())
-        if inside.any():
-            g = ls.evaluate(model.evaluate(pts[inside]))
-            ind[inside] = g < 0.0
-        weights[done : done + batch] = ind * p_vals / q_vals
-        hits += int(ind.sum())
+        n_inside = int(np.count_nonzero(inside))
+        evals += n_inside
+        if n_inside == batch:
+            failed = ls.evaluate(model.evaluate(pts)) < 0.0
+        else:
+            failed = np.zeros(batch, dtype=bool)
+            if n_inside:
+                failed[inside] = ls.evaluate(model.evaluate(pts[inside])) < 0.0
+        at = np.flatnonzero(failed)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+            ratio = p_vals[at] / q_vals[at]
+        bad = int(np.count_nonzero(~np.isfinite(ratio)))
+        if bad:
+            raise BrokenBiasingDensityError(
+                f"{bad} non-finite importance weight(s) p/q out of {at.size} "
+                "failure samples"
+            )
+        weights[done + at] = ratio
+        hits += at.size
         done += batch
 
-    estimate = _exact_mean(weights)
+    estimate = _exact_sum(weights) / n
     if weights.max() == weights.min():
         # all weighted indicators identical: zero scatter by definition
         sample_variance = 0.0
     else:
-        sample_variance = math.fsum((weights - estimate) ** 2) / (n - 1.0)
+        sample_variance = _exact_sum((weights - estimate) ** 2) / (n - 1.0)
     return EstimatorResult(estimate, n, sample_variance, hits, density_id, "IS", evals)
 
 

@@ -2,7 +2,11 @@
 
 These deliberately avoid the code paths they check: the quadratic-program
 solver below is a plain projected-gradient iteration, not a linear solve.
+The Gaussian-mixture pdf and the importance-sampling loop are the plain
+forms the package once used, kept as references for the faster ones.
 """
+
+import math
 
 import numpy as np
 
@@ -82,3 +86,47 @@ def chain_correlation_factor_loop(ind: np.ndarray, lengths) -> float:
         rho = (num / pairs - p * p) / r0
         gamma += 2.0 * (1.0 - lag * n_chains / n) * rho
     return gamma
+
+
+def gaussian_mixture_pdf_solve(gm, pts: np.ndarray) -> np.ndarray:
+    """Mixture pdf at points (n, d) by a general linear solve against each
+    component's Cholesky factor and a log-sum-exp over components."""
+    logs = np.empty((gm.n_components, pts.shape[0]))
+    for i, (w, mean, cov) in enumerate(zip(gm.weights, gm.means, gm.covariances)):
+        L = np.linalg.cholesky(cov)
+        y = np.linalg.solve(L, (pts - mean).T)
+        quad = np.einsum("ij,ij->j", y, y)
+        log_det = 2.0 * float(np.sum(np.log(np.diag(L))))
+        log_norm = -0.5 * (gm.d * math.log(2.0 * math.pi) + log_det)
+        logs[i] = math.log(w) + log_norm - 0.5 * quad
+    top = logs.max(axis=0)
+    return np.exp(top) * np.exp(logs - top).sum(axis=0)
+
+
+def importance_sampling_loop(model, ls, nominal, biasing, n, rng, chunk):
+    """Importance-sampling estimate by the plain chunked loop: both pdfs on
+    every draw, weights ``ind * p / q`` and ``math.fsum`` for both sums.
+
+    Returns (estimate, sample_variance, hits, model_evals).
+    """
+    weights = np.empty(n)
+    hits = evals = done = 0
+    while done < n:
+        batch = min(chunk, n - done)
+        pts = biasing.sample(rng, batch)
+        q_vals = np.atleast_1d(biasing.pdf(pts))
+        p_vals = np.atleast_1d(nominal.pdf(pts))
+        ind = np.zeros(batch)
+        inside = p_vals > 0.0
+        evals += int(inside.sum())
+        if inside.any():
+            ind[inside] = ls.evaluate(model.evaluate(pts[inside])) < 0.0
+        weights[done : done + batch] = ind * p_vals / q_vals
+        hits += int(ind.sum())
+        done += batch
+    estimate = math.fsum(weights) / n
+    if weights.max() == weights.min():
+        sample_variance = 0.0
+    else:
+        sample_variance = math.fsum((weights - estimate) ** 2) / (n - 1.0)
+    return estimate, sample_variance, hits, evals

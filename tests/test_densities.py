@@ -14,7 +14,12 @@ from rarefuse.densities import (
     fit_gaussian,
 )
 
-from helpers_oracles import midpoint_quadrature_1d, midpoint_quadrature_2d
+from helpers_oracles import (
+    gaussian_mixture_pdf_solve,
+    midpoint_quadrature_1d,
+    midpoint_quadrature_2d,
+    random_spd,
+)
 
 
 class TestUniformBoxPdf:
@@ -70,6 +75,42 @@ class TestGaussianMixturePdf:
             GaussianMixture([(1.0, [0.0, 0.0], [[1.0, 2.0], [2.0, 1.0]])])
 
 
+class TestPdfAgainstSolveReference:
+    """The whitened pdf agrees with the solve-based form to 1e-12 relative."""
+
+    @staticmethod
+    def check(gm, pts):
+        np.testing.assert_allclose(
+            gm.pdf(pts), gaussian_mixture_pdf_solve(gm, pts), rtol=1e-12, atol=0.0
+        )
+
+    def test_two_component_mixture(self):
+        gm = GaussianMixture(
+            [
+                (0.3, [-1.0, 0.5], [[1.0, 0.3], [0.3, 0.5]]),
+                (0.7, [2.0, -1.0], [[4.0, -1.0], [-1.0, 2.0]]),
+            ]
+        )
+        self.check(gm, gm.sample(np.random.default_rng(0), 2000))
+
+    def test_arrhenius_scaled_fitted_covariance(self):
+        # axis scales 1e13 and 1e3 with strong correlation, as fitted to
+        # the failure samples of arrhenius-2d
+        rng = np.random.default_rng(1)
+        u = rng.standard_normal((400, 2))
+        cloud = np.column_stack(
+            [1.4e13 + 5e11 * u[:, 0], 2.0e3 + 3e2 * (0.95 * u[:, 0] + 0.3 * u[:, 1])]
+        )
+        gm = fit_gaussian(cloud)
+        self.check(gm, gm.sample(rng, 2000))
+
+    def test_random_spd_d50(self):
+        rng = np.random.default_rng(2)
+        cov = random_spd(rng, 50)
+        gm = GaussianMixture([(1.0, rng.standard_normal(50), cov)])
+        self.check(gm, gm.sample(rng, 2000))
+
+
 class TestPdfNormalization:
     """Tensor-grid quadrature of the pdf must integrate to 1 within 1e-4."""
 
@@ -113,6 +154,28 @@ class TestSampling:
         a = gm.sample(np.random.default_rng(7), 1000)
         b = gm.sample(np.random.default_rng(7), 1000)
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("d", [1, 2, 50])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_sample_is_mean_plus_normals_times_cholesky(self, d, k):
+        # bit for bit: one normal block, then (for k > 1) the component draw
+        rng = np.random.default_rng(10 * d + k)
+        weights = [1.0] if k == 1 else [0.2, 0.5, 0.3]
+        comps = [(w, rng.standard_normal(d), random_spd(rng, d)) for w in weights]
+        gm = GaussianMixture(comps)
+        got = gm.sample(np.random.default_rng(3), 1000)
+        ref_rng = np.random.default_rng(3)
+        normals = ref_rng.standard_normal((1000, d))
+        chols = [np.linalg.cholesky(cov) for _, _, cov in comps]
+        if k == 1:
+            expected = comps[0][1] + normals @ chols[0].T
+        else:
+            idx = ref_rng.choice(k, size=1000, p=gm.weights)
+            expected = np.empty((1000, d))
+            for i, (_, mean, _) in enumerate(comps):
+                mask = idx == i
+                expected[mask] = mean + normals[mask] @ chols[i].T
+        np.testing.assert_array_equal(got, expected)
 
     def test_sample_pdf_consistency_uniform(self):
         box = UniformBox([0.0, 0.0], [2.0, 2.0])

@@ -1,11 +1,13 @@
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import ndtr
 
 import rarefuse.estimators as est
-from rarefuse.densities import GaussianMixture, UniformBox
+from rarefuse.densities import GaussianMixture, UniformBox, fit_gaussian
 from rarefuse.estimators import (
     BrokenBiasingDensityError,
     UndefinedCVError,
@@ -17,6 +19,8 @@ from rarefuse.estimators import (
 )
 from rarefuse.models import LimitState, Model, get_benchmark, make_linear_gaussian
 from rarefuse.subset_sim import subset_simulation
+
+from helpers_oracles import importance_sampling_loop
 
 
 def shifted_gaussian(beta, d=2):
@@ -245,6 +249,145 @@ class TestImportanceSampling:
             r = run()
             assert r.estimate == baseline.estimate
             assert r.sample_variance == baseline.sample_variance
+
+
+class TestNonFiniteWeights:
+    def test_overflowing_likelihood_ratio_rejected(self):
+        # p/q = 1e300 / 1e-300 overflows to inf at every failing draw
+        class Flat:
+            full_support = True
+
+            def __init__(self, value):
+                self.value = value
+
+            def sample(self, rng, count):
+                return rng.standard_normal((count, 2))
+
+            def pdf(self, z):
+                return np.full(np.shape(z)[0], self.value)
+
+        model, ls = always_failing()
+        with pytest.raises(BrokenBiasingDensityError, match=r"500 non-finite importance weight"):
+            importance_sampling_estimate(
+                model, ls, Flat(1e300), Flat(1e-300), 500, np.random.default_rng(0)
+            )
+
+
+def same_bits(a: float, b: float) -> bool:
+    return struct.pack("<d", a) == struct.pack("<d", b)
+
+
+# Finite doubles over about 600 binades, with zeros and subnormals mixed in.
+_finite_doubles = st.one_of(
+    st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-300, 300)),
+    st.floats(-1e-306, 1e-306),
+    st.just(0.0),
+)
+
+
+class TestExactSum:
+    """The NumPy exact-sum kernel is bit-identical to math.fsum."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(_finite_doubles, max_size=40), st.integers(0, 20))
+    def test_matches_fsum_either_side_of_small_threshold(self, values, small):
+        # a lowered threshold sends short lists down both paths
+        x = np.array(values, dtype=float)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(est, "_SUM_SMALL", small)
+            assert same_bits(est._exact_sum(x), math.fsum(x))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([est._SUM_SMALL - 1, est._SUM_SMALL, est._SUM_SMALL + 1, 5000]),
+        st.integers(0, 600),
+        st.floats(0.0, 1.0),
+    )
+    def test_matches_fsum_on_long_arrays(self, seed, n, binades, zero_frac):
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(-1.0, 1.0, n) * np.exp2(rng.integers(-binades // 2, binades // 2 + 1, n))
+        x[rng.random(n) < zero_frac] = 0.0
+        x[: n // 7] *= 2.0**-1070  # some subnormals
+        assert same_bits(est._exact_sum(x), math.fsum(x))
+
+    @pytest.mark.parametrize("offset", ["block-1", "block", "block+1", "2*block+1"])
+    def test_block_boundaries(self, monkeypatch, offset):
+        block = 1024
+        monkeypatch.setattr(est, "_SUM_BLOCK", block)
+        n = {"block-1": block - 1, "block": block, "block+1": block + 1,
+             "2*block+1": 2 * block + 1}[offset]
+        rng = np.random.default_rng(n)
+        # a narrow exponent range, so that every value moves the sum
+        x = rng.standard_normal(n) * np.exp2(rng.integers(-20, 20, n))
+        assert same_bits(est._exact_sum(x), math.fsum(x))
+
+    @pytest.mark.parametrize("n", [10, 2000])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_refused(self, n, bad):
+        x = np.ones(n)
+        x[n // 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            est._exact_sum(x)
+
+
+class TestAgainstReferenceLoop:
+    """Bit for bit against the plain loop: two pdf calls, ind*p/q, fsum."""
+
+    CHUNK = 1000
+    N = 2500
+
+    def check(self, monkeypatch, model, ls, nominal, biasing, seed):
+        monkeypatch.setattr(est, "_CHUNK", self.CHUNK)
+        r = importance_sampling_estimate(
+            model, ls, nominal, biasing, self.N, np.random.default_rng(seed)
+        )
+        ref = importance_sampling_loop(
+            model, ls, nominal, biasing, self.N, np.random.default_rng(seed), self.CHUNK
+        )
+        assert (r.estimate, r.sample_variance, r.hits, r.model_evals) == ref
+        return r
+
+    def test_gaussian_nominal_fitted_biasing(self, monkeypatch):
+        b = make_linear_gaussian(beta=2.5)
+        pts = b.nominal.sample(np.random.default_rng(0), 20_000)
+        fails = pts[b.limit_state.evaluate(b.high_fidelity.evaluate(pts)) < 0.0]
+        q = fit_gaussian(fails)
+        r = self.check(monkeypatch, b.high_fidelity, b.limit_state, b.nominal, q, 1)
+        assert 0 < r.hits < r.n
+
+    def test_uniform_nominal_gaussian_biasing_outside_box(self, monkeypatch):
+        b = get_benchmark("arrhenius-2d")
+        q = GaussianMixture([(1.0, [1.45e13, 1.7e3], np.diag([1.0e24, 1.6e5]))])
+        r = self.check(monkeypatch, b.high_fidelity, b.limit_state, b.nominal, q, 2)
+        assert 0 < r.hits
+        assert 0 < r.model_evals < r.n
+
+    @pytest.mark.parametrize("name", ["linear-gaussian-2.5", "arrhenius-2d"])
+    def test_biasing_equal_to_nominal_calls_pdf_once_per_chunk(self, monkeypatch, name):
+        b = get_benchmark(name)
+        cls = type(b.nominal)
+        calls = []
+        original = cls.pdf
+
+        def spy(self, z):
+            calls.append(np.shape(z)[0])
+            return original(self, z)
+
+        monkeypatch.setattr(est, "_CHUNK", self.CHUNK)
+        monkeypatch.setattr(cls, "pdf", spy)
+        r = importance_sampling_estimate(
+            b.high_fidelity, b.limit_state, b.nominal, b.nominal, self.N,
+            np.random.default_rng(3),
+        )
+        assert calls == [1000, 1000, 500]
+        monkeypatch.setattr(cls, "pdf", original)
+        ref = importance_sampling_loop(
+            b.high_fidelity, b.limit_state, b.nominal, b.nominal, self.N,
+            np.random.default_rng(3), self.CHUNK,
+        )
+        assert (r.estimate, r.sample_variance, r.hits, r.model_evals) == ref
+        assert r.hits > 0
 
 
 class TestNonFiniteLimitState:
