@@ -13,7 +13,6 @@ from .densities import (
     InsufficientSamplesError,
     UniformBox,
     density_from_dict,
-    density_from_json,
     fit_gaussian,
 )
 from .estimators import (
@@ -46,7 +45,7 @@ from .models import (
     make_linear_gaussian,
     oracle_failure_probability,
 )
-from .subset_sim import SubsetResult, mcmc_conditional_step, subset_simulation
+from .subset_sim import SubsetResult, subset_simulation
 
 __version__ = "0.1.0"
 
@@ -55,7 +54,6 @@ __all__ = [
     "GaussianMixture",
     "fit_gaussian",
     "density_from_dict",
-    "density_from_json",
     "InsufficientSamplesError",
     "Model",
     "LimitState",
@@ -84,5 +82,4 @@ __all__ = [
     "SingularCovarianceError",
     "SubsetResult",
     "subset_simulation",
-    "mcmc_conditional_step",
 ]

@@ -19,9 +19,10 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +39,6 @@ __all__ = [
     "CampaignReport",
     "ConfigError",
     "run_experiment",
-    "convergence_study",
     "main",
 ]
 
@@ -128,8 +128,15 @@ class ExperimentConfig:
             raise ConfigError("n_grid must be ascending")
         if self.split != "equal":
             raise ConfigError("only the 'equal' split rule is supported")
-        if self.threshold_relax is not None and self.threshold_relax < 0:
-            raise ConfigError("threshold_relax must be nonnegative")
+        if not isinstance(self.output_dir, str):
+            raise ConfigError(f"output_dir must be a string, got {self.output_dir!r}")
+        relax = self.threshold_relax
+        if relax is not None and (
+            isinstance(relax, bool)
+            or not isinstance(relax, (int, float))
+            or not (math.isfinite(relax) and relax >= 0)
+        ):
+            raise ConfigError(f"threshold_relax must be a finite number >= 0, got {relax!r}")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
@@ -419,11 +426,6 @@ def run_experiment(config: ExperimentConfig) -> CampaignReport:
 
     report.files = _write_outputs(report, Path(config.output_dir))
     return report
-
-
-def convergence_study(config: ExperimentConfig) -> list[dict]:
-    """Run the convergence phase; returns the rows of ``convergence.csv``."""
-    return run_experiment(replace(config, mode="fuse")).convergence_rows
 
 
 def main(argv=None) -> int:

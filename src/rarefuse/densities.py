@@ -15,7 +15,6 @@ threads; every sampling call owns its generator.
 
 from __future__ import annotations
 
-import json
 import math
 
 import numpy as np
@@ -26,7 +25,6 @@ __all__ = [
     "GaussianMixture",
     "fit_gaussian",
     "density_from_dict",
-    "density_from_json",
     "InsufficientSamplesError",
     "DEFAULT_REGULARIZATION",
 ]
@@ -292,6 +290,3 @@ def density_from_dict(doc: dict):
         return GaussianMixture(comps)
     raise ValueError(f"unknown density type: {kind!r}")
 
-
-def density_from_json(text: str):
-    return density_from_dict(json.loads(text))

@@ -56,8 +56,9 @@ class BrokenBiasingDensityError(RuntimeError):
 class EstimatorResult:
     """One unbiased probability estimate and its sampling diagnostics.
 
-    ``hits`` counts raw indicator successes even in IS mode; a healthy
-    biasing density produces hits on a sizable fraction of its draws.
+    ``hits`` counts raw indicator successes even in IS mode; the hit rate
+    does not show weight health, since a few heavy weights can carry the
+    estimate while most draws hit.
     ``model_evals`` counts the points handed to the model: ``n`` for MC,
     only the draws inside the nominal support for IS.
     """

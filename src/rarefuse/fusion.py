@@ -74,18 +74,6 @@ class CovarianceMatrix:
     def k(self) -> int:
         return self.entries.shape[0]
 
-    def condition_estimate(self) -> float:
-        """1-norm condition number; inf when the matrix is exactly singular."""
-        try:
-            return float(np.linalg.cond(self.entries, 1))
-        except np.linalg.LinAlgError:
-            return float("inf")
-
-    @property
-    def is_singular(self) -> bool:
-        c = self.condition_estimate()
-        return not np.isfinite(c) or c > CONDITION_LIMIT
-
     @classmethod
     def diagonal(cls, variances) -> "CovarianceMatrix":
         return cls(np.diag(np.asarray(variances, dtype=float)))
@@ -97,33 +85,15 @@ class FusedResult:
 
     ``weights`` has one entry per *input* estimator; excluded inputs carry
     weight 0, so the weights still sum to one over the informative ones.
-    ``covariance_used`` is the matrix over the included estimators only.
     """
 
     estimate: float
     weights: np.ndarray
     multiplier: float
     variance: float
-    covariance_used: CovarianceMatrix | None
     excluded: list[int] = field(default_factory=list)
     floored: list[int] = field(default_factory=list)
     no_information: bool = False
-
-    def to_dict(self) -> dict:
-        return {
-            "estimate": self.estimate,
-            "weights": np.asarray(self.weights).tolist(),
-            "multiplier": self.multiplier,
-            "variance": self.variance,
-            "covariance_used": (
-                self.covariance_used.entries.tolist()
-                if self.covariance_used is not None
-                else None
-            ),
-            "excluded": list(self.excluded),
-            "floored": list(self.floored),
-            "no_information": self.no_information,
-        }
 
 
 def _solve_kkt(entries: np.ndarray) -> tuple[np.ndarray, float]:
@@ -155,7 +125,11 @@ def optimal_weights(cov: CovarianceMatrix) -> tuple[np.ndarray, float, float]:
     """
     if np.any(np.diag(cov.entries) <= 0.0):
         raise ValueError("covariance diagonal must be strictly positive")
-    if cov.is_singular:
+    try:
+        condition = float(np.linalg.cond(cov.entries, 1))
+    except np.linalg.LinAlgError:  # exactly singular
+        condition = math.inf
+    if not math.isfinite(condition) or condition > CONDITION_LIMIT:
         raise SingularCovarianceError(
             "covariance condition estimate exceeds 1e12; "
             "fall back to diagonal fusion of the individual variances"
@@ -254,7 +228,6 @@ def fuse(
             weights=np.zeros(k_in),
             multiplier=0.0,
             variance=0.0,
-            covariance_used=None,
             excluded=excluded,
             no_information=True,
         )
@@ -274,13 +247,11 @@ def fuse(
     if covariance is None:
         sub_weights, variance = optimal_weights_diagonal(variances)
         multiplier = -variance
-        cov_used = CovarianceMatrix.diagonal(variances)
     else:
         if covariance.k != k_in:
             raise ValueError("covariance size must match the number of results")
         sub = covariance.entries[np.ix_(included, included)]
-        cov_used = CovarianceMatrix(sub)
-        sub_weights, multiplier, variance = optimal_weights(cov_used)
+        sub_weights, multiplier, variance = optimal_weights(CovarianceMatrix(sub))
 
     estimate = float(sub_weights @ estimates)
     weights = np.zeros(k_in)
@@ -290,7 +261,6 @@ def fuse(
         weights=weights,
         multiplier=multiplier,
         variance=variance,
-        covariance_used=cov_used,
         excluded=excluded,
         floored=floored,
     )

@@ -14,6 +14,7 @@ state, so unbiasedness is untouched.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,8 +63,8 @@ def build_biasing_density(
     if m < 0:
         raise ValueError("m must be nonnegative")
     relax = 0.0 if threshold_relax is None else float(threshold_relax)
-    if relax < 0.0:
-        raise ValueError("threshold_relax must be nonnegative")
+    if not (math.isfinite(relax) and relax >= 0.0):
+        raise ValueError("threshold_relax must be finite and nonnegative")
 
     if m == 0:
         return BiasingBuildReport(0, 0, True, nominal, relax)

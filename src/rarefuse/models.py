@@ -8,9 +8,9 @@ independent oracle for the true failure probability.
 
 Two desk-scale benchmarks are built in:
 
-* ``linear-gaussian`` (B1): standard-Gaussian inputs, normalized-sum QoI,
+* ``linear-gaussian``: standard-Gaussian inputs, normalized-sum QoI,
   closed-form tail-probability oracle.
-* ``arrhenius-2d`` (B2): uniform inputs on a rectangle, saturating
+* ``arrhenius-2d``: uniform inputs on a rectangle, saturating
   log-response QoI, midpoint-quadrature oracle.
 """
 
@@ -44,13 +44,12 @@ class Model:
 
     ``fn`` is the vectorized implementation: it receives an (n, d) array
     and returns an (n, d') array (a plain (n,) return is accepted for
-    scalar QoIs).  ``cost_tag`` is a label used only in reports.
+    scalar QoIs).
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
     input_dim: int
     output_dim: int = 1
-    cost_tag: str = "model"
 
     def evaluate(self, z):
         """Evaluate at one point (d,) -> (d',) or a batch (n, d) -> (n, d')."""
@@ -67,8 +66,6 @@ class Model:
         if out.shape != (pts.shape[0], self.output_dim):
             raise ValueError("model returned QoI of unexpected shape")
         return out[0] if single else out
-
-    __call__ = evaluate
 
 
 @dataclass(frozen=True)
@@ -92,8 +89,6 @@ class LimitState:
             )
         return float(vals[0]) if single else vals
 
-    __call__ = evaluate
-
 
 def indicator(model: Model, ls: LimitState, z):
     """Failure indicator: 1 iff g(model(z)) < 0, ties count as safe."""
@@ -111,7 +106,6 @@ class Benchmark:
     high_fidelity: Model
     surrogates: list[Model]
     limit_state: LimitState
-    oracle_hint: str
     _oracle: Callable[[int], float] = field(repr=False, default=None)
 
     @property
@@ -132,7 +126,7 @@ def oracle_failure_probability(benchmark: Benchmark, resolution: int = 4001) -> 
 
 
 # ---------------------------------------------------------------------------
-# B1: linear-gaussian
+# linear-gaussian
 # ---------------------------------------------------------------------------
 
 def make_linear_gaussian(
@@ -169,20 +163,19 @@ def make_linear_gaussian(
     return Benchmark(
         name="linear-gaussian",
         nominal=nominal,
-        high_fidelity=Model(hf, d, 1, "hf-linear"),
+        high_fidelity=Model(hf, d),
         surrogates=[
-            Model(surr_biased, d, 1, "surr-biased"),
-            Model(surr_scaled, d, 1, "surr-scaled"),
-            Model(surr_constant, d, 1, "surr-constant"),
+            Model(surr_biased, d),
+            Model(surr_scaled, d),
+            Model(surr_constant, d),
         ],
         limit_state=LimitState(lambda y: beta - y[:, 0]),
-        oracle_hint="standard-normal tail Phi(-beta), exact",
         _oracle=oracle,
     )
 
 
 # ---------------------------------------------------------------------------
-# B2: arrhenius-2d
+# arrhenius-2d
 # ---------------------------------------------------------------------------
 
 def _b2_response(A, E):
@@ -240,14 +233,13 @@ def make_arrhenius_2d(tau: float = bc.B2_TAU) -> Benchmark:
     return Benchmark(
         name="arrhenius-2d",
         nominal=nominal,
-        high_fidelity=Model(hf, 2, 1, "hf-arrhenius"),
+        high_fidelity=Model(hf, 2),
         surrogates=[
-            Model(surr_taylor, 2, 1, "surr-taylor"),
-            Model(surr_perturbed, 2, 1, "surr-perturbed-E"),
-            Model(surr_constant, 2, 1, "surr-constant"),
+            Model(surr_taylor, 2),
+            Model(surr_perturbed, 2),
+            Model(surr_constant, 2),
         ],
         limit_state=LimitState(lambda y: tau - y[:, 0]),
-        oracle_hint="tensor-grid midpoint quadrature of the failure indicator",
         _oracle=oracle,
     )
 
@@ -258,11 +250,9 @@ def make_arrhenius_2d(tau: float = bc.B2_TAU) -> Benchmark:
 
 _REGISTRY: dict[str, Callable[[], Benchmark]] = {
     "linear-gaussian": make_linear_gaussian,
-    "B1": make_linear_gaussian,
     # Milder tail variant used for studies that need more failure samples.
     "linear-gaussian-2.5": lambda: make_linear_gaussian(beta=2.5),
     "arrhenius-2d": make_arrhenius_2d,
-    "B2": make_arrhenius_2d,
 }
 
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .models import LimitState, Model
 
-__all__ = ["SubsetResult", "subset_simulation", "mcmc_conditional_step"]
+__all__ = ["SubsetResult", "subset_simulation"]
 
 PROPOSAL_WIDTH = 0.5
 
@@ -81,34 +81,6 @@ def _metropolis_move(states, g_states, threshold, width, rng, g_of_points):
         np.where(accept[:, None], candidates, states),
         np.where(accept, g_cand, g_states),
     )
-
-
-def mcmc_conditional_step(
-    chain_state: np.ndarray,
-    threshold: float,
-    model: Model,
-    ls: LimitState,
-    proposal_width: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """One Metropolis step conditioned on the event g <= threshold.
-
-    ``chain_state`` lives in the unit hypercube and ``model`` must act on
-    unit-cube coordinates (compose it with a density's ``from_unit_cube``
-    for models defined on the original domain).  This is the single-chain
-    case of the move subset simulation uses: the candidate is kept iff it
-    stays in the conditioning event, otherwise the current state repeats.
-    """
-    state = np.asarray(chain_state, dtype=float).reshape(1, -1)
-    new_state, _ = _metropolis_move(
-        state,
-        np.full(1, np.nan),  # the current g is never returned, only the state
-        threshold,
-        proposal_width,
-        rng,
-        lambda u: ls.evaluate(model.evaluate(u)),
-    )
-    return new_state[0]
 
 
 def _grow_chains(seeds_u, seeds_g, threshold, n_total, width, rng, g_of_points):

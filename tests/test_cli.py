@@ -13,7 +13,6 @@ import pytest
 from rarefuse.cli import (
     ConfigError,
     ExperimentConfig,
-    convergence_study,
     main,
     run_experiment,
 )
@@ -71,6 +70,10 @@ BAD_VALUES = [
     {"subset": {"max_levels": 2.5}},
     {"repetitions": True},
     {"mode": "convergence"},
+    {"output_dir": 5},
+    {"threshold_relax": float("nan")},
+    {"threshold_relax": True},
+    {"benchmark": "B1"},
 ]
 BAD_VALUE_IDS = [
     "unknown-benchmark",
@@ -88,18 +91,22 @@ BAD_VALUE_IDS = [
     "subset-max-levels-2.5",
     "repetitions-true",
     "mode-convergence",
+    "output-dir-number",
+    "threshold-relax-nan",
+    "threshold-relax-true",
+    "benchmark-alias-B1",
 ]
 
 
 class TestConfig:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError, match="unknown config keys"):
-            ExperimentConfig.from_dict({"benchmark": "B1", "typo_field": 1})
+            ExperimentConfig.from_dict({"benchmark": "linear-gaussian", "typo_field": 1})
 
     def test_unknown_subset_keys_rejected(self):
         with pytest.raises(ConfigError, match="unknown subset keys"):
             ExperimentConfig.from_dict(
-                {"benchmark": "B1", "subset": {"N": 500, "burn_in": 7}}
+                {"benchmark": "linear-gaussian", "subset": {"N": 500, "burn_in": 7}}
             )
 
     def test_benchmark_required(self):
@@ -108,33 +115,33 @@ class TestConfig:
 
     def test_bad_mode(self):
         with pytest.raises(ConfigError, match="mode"):
-            ExperimentConfig.from_dict({"benchmark": "B1", "mode": "plot"})
+            ExperimentConfig.from_dict({"benchmark": "linear-gaussian", "mode": "plot"})
 
     def test_descending_grid_rejected(self):
         with pytest.raises(ConfigError, match="ascending"):
-            ExperimentConfig.from_dict({"benchmark": "B1", "n_grid": [600, 300]})
+            ExperimentConfig.from_dict({"benchmark": "linear-gaussian", "n_grid": [600, 300]})
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ConfigError, match="nonempty"):
-            ExperimentConfig.from_dict({"benchmark": "B1", "n_grid": []})
+            ExperimentConfig.from_dict({"benchmark": "linear-gaussian", "n_grid": []})
 
     def test_repetitions_validated(self):
         with pytest.raises(ConfigError):
-            ExperimentConfig.from_dict({"benchmark": "B1", "repetitions": 0})
+            ExperimentConfig.from_dict({"benchmark": "linear-gaussian", "repetitions": 0})
 
     @pytest.mark.parametrize("overrides", BAD_VALUES, ids=BAD_VALUE_IDS)
     def test_bad_values_rejected(self, overrides):
         with pytest.raises(ConfigError):
-            ExperimentConfig.from_dict({"benchmark": "B1", **overrides})
+            ExperimentConfig.from_dict({"benchmark": "linear-gaussian", **overrides})
 
     def test_hash_ignores_output_dir(self):
-        a = ExperimentConfig.from_dict({"benchmark": "B1", "output_dir": "x"})
-        b = ExperimentConfig.from_dict({"benchmark": "B1", "output_dir": "y"})
+        a = ExperimentConfig.from_dict({"benchmark": "linear-gaussian", "output_dir": "x"})
+        b = ExperimentConfig.from_dict({"benchmark": "linear-gaussian", "output_dir": "y"})
         assert a.hash() == b.hash()
 
     def test_hash_tracks_parameters(self):
-        a = ExperimentConfig.from_dict({"benchmark": "B1", "seed": 1})
-        b = ExperimentConfig.from_dict({"benchmark": "B1", "seed": 2})
+        a = ExperimentConfig.from_dict({"benchmark": "linear-gaussian", "seed": 1})
+        b = ExperimentConfig.from_dict({"benchmark": "linear-gaussian", "seed": 2})
         assert a.hash() != b.hash()
 
 
@@ -260,7 +267,7 @@ class TestRunExperiment:
 
     def test_convergence_study_rows(self, tmp_path):
         config = small_config(tmp_path, mode="fuse")
-        rows = convergence_study(config)
+        rows = run_experiment(config).convergence_rows
         ids = {r["estimator_id"] for r in rows}
         assert {"q1", "q2", "q3", "fused", "nominal", "q_ref"} <= ids
         ns = {r["n"] for r in rows}
@@ -315,7 +322,7 @@ class TestCommandLine:
 
     def test_run_invalid_config_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"benchmark": "B1", "surprise": True}))
+        path.write_text(json.dumps({"benchmark": "linear-gaussian", "surprise": True}))
         assert main(["run", "--config", str(path)]) == 2
 
     @pytest.mark.parametrize("overrides", BAD_VALUES, ids=BAD_VALUE_IDS)

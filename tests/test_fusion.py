@@ -201,9 +201,7 @@ class TestFuse:
         f = fuse(rs)
         assert f.weights.sum() == pytest.approx(1.0, abs=1e-12)
         assert f.variance == pytest.approx(
-            f.weights[f.weights > 0] @ f.covariance_used.entries
-            @ f.weights[f.weights > 0],
-            rel=1e-12,
+            sum(w**2 * r.variance for w, r in zip(f.weights, rs)), rel=1e-12
         )
 
     def test_degenerate_input_excluded(self):
@@ -238,9 +236,3 @@ class TestFuse:
         assert f.estimate == pytest.approx(0.012, rel=1e-12)
         assert f.variance == pytest.approx(0.03, rel=1e-12)
 
-    def test_fused_json_roundtrip(self):
-        rs = [result(0.01, 100, 0.04, "a"), result(0.012, 200, 0.02, "b")]
-        doc = fuse(rs).to_dict()
-        assert doc["excluded"] == []
-        assert len(doc["weights"]) == 2
-        assert doc["no_information"] is False

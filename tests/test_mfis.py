@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -98,6 +100,16 @@ class TestBuild:
             build_biasing_density(
                 b.surrogates[0], b.limit_state, b.nominal, 100,
                 np.random.default_rng(0), threshold_relax=-0.1,
+            )
+
+    @pytest.mark.parametrize("relax", [math.nan, math.inf])
+    def test_relaxation_must_be_finite(self, relax):
+        # NaN would find no failures and fall back to the nominal silently
+        b = make_linear_gaussian()
+        with pytest.raises(ValueError, match="finite"):
+            build_biasing_density(
+                b.surrogates[0], b.limit_state, b.nominal, 100,
+                np.random.default_rng(0), threshold_relax=relax,
             )
 
     def test_gaussian_fit_has_full_support(self):

@@ -76,9 +76,7 @@ class TestOracle:
 class TestBenchmarkStructure:
     def test_registry(self):
         names = benchmark_names()
-        assert "linear-gaussian" in names and "arrhenius-2d" in names
-        assert get_benchmark("B1").name == "linear-gaussian"
-        assert get_benchmark("B2").name == "arrhenius-2d"
+        assert names == ["arrhenius-2d", "linear-gaussian", "linear-gaussian-2.5"]
         with pytest.raises(ValueError, match="unknown benchmark"):
             get_benchmark("nope")
 

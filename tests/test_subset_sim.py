@@ -5,57 +5,55 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from rarefuse.models import LimitState, Model, get_benchmark, make_linear_gaussian
+from rarefuse.models import get_benchmark, make_linear_gaussian
 from rarefuse.models import oracle_failure_probability
 from rarefuse.subset_sim import (
     _chain_correlation_factor,
     _grow_chains,
-    mcmc_conditional_step,
+    _metropolis_move,
     subset_simulation,
 )
 
 from helpers_oracles import chain_correlation_factor_loop
 
 
-def cube_model(fn, d=2):
-    """Model acting directly on unit-cube coordinates."""
-    return Model(fn, d, 1)
+NO_G = np.full(1, np.nan)  # the current g of a single chain; never asserted on
+
+
+def g_sum(pts):
+    return pts.sum(axis=1)
 
 
 class TestMcmcConditionalStep:
     def test_zero_width_returns_input(self):
-        model = cube_model(lambda pts: pts.sum(axis=1))
-        ls = LimitState(lambda y: y[:, 0])
-        state = np.array([0.3, 0.7])
-        out = mcmc_conditional_step(
-            state, 2.0, model, ls, 0.0, np.random.default_rng(0)
+        state = np.array([[0.3, 0.7]])
+        out, _ = _metropolis_move(
+            state, NO_G, 2.0, 0.0, np.random.default_rng(0), g_sum
         )
         np.testing.assert_array_equal(out, state)
 
     def test_never_leaves_conditioning_set(self):
-        model = cube_model(lambda pts: pts.sum(axis=1))
-        ls = LimitState(lambda y: y[:, 0])  # g(u) = u1 + u2
-        threshold = 0.6
-        state = np.array([0.1, 0.1])
+        threshold = 0.6  # g(u) = u1 + u2
+        state = np.array([[0.1, 0.1]])
         rng = np.random.default_rng(1)
         for _ in range(500):
-            state = mcmc_conditional_step(state, threshold, model, ls, 0.5, rng)
-            assert model.evaluate(state)[0] <= threshold
+            state, _ = _metropolis_move(state, NO_G, threshold, 0.5, rng, g_sum)
+            assert g_sum(state)[0] <= threshold
             assert np.all((state >= 0.0) & (state <= 1.0))
 
     def test_unconstrained_walk_is_uniform(self):
         # threshold +inf: pure reflected random walk, stationary law uniform;
         # chi-square over a 10x10 binning at the 1% level
-        model = cube_model(lambda pts: np.zeros(pts.shape[0]))
-        ls = LimitState(lambda y: y[:, 0])
         rng = np.random.default_rng(42)
-        state = np.full(2, 0.5)
+        state = np.full((1, 2), 0.5)
         counts = np.zeros((10, 10))
         steps = 100_000
         for _ in range(steps):
-            state = mcmc_conditional_step(state, math.inf, model, ls, 0.5, rng)
-            i = min(int(state[0] * 10), 9)
-            j = min(int(state[1] * 10), 9)
+            state, _ = _metropolis_move(
+                state, NO_G, math.inf, 0.5, rng, lambda u: np.zeros(u.shape[0])
+            )
+            i = min(int(state[0, 0] * 10), 9)
+            j = min(int(state[0, 1] * 10), 9)
             counts[i, j] += 1
         expected = steps / 100
         stat = ((counts - expected) ** 2 / expected).sum()
@@ -142,7 +140,6 @@ class TestSubsetSimulation:
         class Probe:
             input_dim = inner.input_dim
             output_dim = inner.output_dim
-            cost_tag = inner.cost_tag
 
             def evaluate(self, z):
                 z = np.asarray(z)
