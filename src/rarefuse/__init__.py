@@ -40,7 +40,6 @@ from .models import (
     Model,
     benchmark_names,
     get_benchmark,
-    indicator,
     make_arrhenius_2d,
     make_linear_gaussian,
     oracle_failure_probability,
@@ -58,7 +57,6 @@ __all__ = [
     "Model",
     "LimitState",
     "Benchmark",
-    "indicator",
     "oracle_failure_probability",
     "make_linear_gaussian",
     "make_arrhenius_2d",

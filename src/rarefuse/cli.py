@@ -370,7 +370,6 @@ def _subset_phase(config: ExperimentConfig, benchmark: Benchmark, report: Campai
 
 def _write_outputs(report: CampaignReport, out_dir: Path) -> list[str]:
     """Write every output file that has content; returns the names written."""
-    out_dir.mkdir(parents=True, exist_ok=True)
     config = report.config
     reference = report.reference_report.to_dict() if report.reference_report else None
     densities_doc = {
@@ -414,6 +413,12 @@ def _write_outputs(report: CampaignReport, out_dir: Path) -> list[str]:
 
 def run_experiment(config: ExperimentConfig) -> CampaignReport:
     """Run the configured experiment phases and write the output files."""
+    # an unusable output_dir is a config error, raised before any work
+    out_dir = Path(config.output_dir)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output_dir {str(out_dir)!r}: {exc}") from None
     benchmark = get_benchmark(config.benchmark)
     report = CampaignReport(config=config, config_hash=config.hash())
 
@@ -424,7 +429,7 @@ def run_experiment(config: ExperimentConfig) -> CampaignReport:
     if config.mode in ("subset", "all"):
         _subset_phase(config, benchmark, report)
 
-    report.files = _write_outputs(report, Path(config.output_dir))
+    report.files = _write_outputs(report, out_dir)
     return report
 
 
@@ -465,11 +470,10 @@ def main(argv=None) -> int:
     # run
     try:
         config = ExperimentConfig.from_file(args.config)
+        report = run_experiment(config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    try:
-        report = run_experiment(config)
     except Exception as exc:  # model failures and numerical breakdowns
         print(f"run failed: {exc}", file=sys.stderr)
         return 3

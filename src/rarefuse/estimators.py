@@ -186,12 +186,12 @@ def importance_sampling_estimate(
     while done < n:
         batch = min(_CHUNK, n - done)
         pts = biasing.sample(rng, batch)
-        q_vals = np.atleast_1d(biasing.pdf(pts))
+        q_vals = biasing.pdf(pts)
         if np.any(q_vals <= 0.0):
             raise BrokenBiasingDensityError(
                 "biasing density evaluated to 0 at one of its own samples"
             )
-        p_vals = q_vals if same else np.atleast_1d(nominal.pdf(pts))
+        p_vals = q_vals if same else nominal.pdf(pts)
         inside = p_vals > 0.0
         n_inside = int(np.count_nonzero(inside))
         evals += n_inside

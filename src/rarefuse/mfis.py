@@ -1,10 +1,10 @@
 """Biasing-density construction from surrogate failure sets.
 
 A surrogate model is sampled under the nominal density; the parameter
-points it flags as failing are collected and a single-component Gaussian
-is fitted to them, yielding a biasing density concentrated near the
-failure region.  When the surrogate finds too few failures to fit, the
-nominal density itself is returned and the report says so.
+points it flags as failing are collected and a Gaussian is fitted to
+them, yielding a biasing density concentrated near the failure region.
+When the surrogate finds too few failures to fit, the nominal density
+itself is returned and the report says so.
 
 An optional threshold relaxation widens the surrogate failure set
 (failure under g < relax instead of g < 0).  Relaxation only affects the
@@ -57,17 +57,14 @@ def build_biasing_density(
 
     Draws ``m`` nominal samples, evaluates the surrogate at each, keeps the
     points with g < relax (relax defaults to 0, the true failure
-    condition), and fits a one-component Gaussian to them.  Falls back to
-    the nominal density when fewer than d+2 failures are found.
+    condition), and fits a Gaussian to them.  Falls back to the nominal
+    density when fewer than d+2 failures are found (always when m is 0).
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
     relax = 0.0 if threshold_relax is None else float(threshold_relax)
     if not (math.isfinite(relax) and relax >= 0.0):
         raise ValueError("threshold_relax must be finite and nonnegative")
-
-    if m == 0:
-        return BiasingBuildReport(0, 0, True, nominal, relax)
 
     pts = nominal.sample(rng, m)
     g = ls.evaluate(surrogate.evaluate(pts))

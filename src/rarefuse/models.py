@@ -1,7 +1,8 @@
 """Model and limit-state abstractions plus built-in benchmark problems.
 
-A ``Model`` maps input points z in R^d to a quantity-of-interest vector in
-R^d'; a ``LimitState`` maps the QoI to a scalar g whose strictly negative
+A ``Model`` maps a batch of input points z in R^d, shape (n, d), to
+quantity-of-interest vectors in R^d', shape (n, d'); a ``LimitState`` maps
+the QoI batch to one scalar g per row, shape (n,), whose strictly negative
 values define failure. ``Benchmark`` bundles a nominal density, a
 high-fidelity model, a suite of surrogates of varying quality, and an
 independent oracle for the true failure probability.
@@ -29,7 +30,6 @@ __all__ = [
     "Model",
     "LimitState",
     "Benchmark",
-    "indicator",
     "oracle_failure_probability",
     "make_linear_gaussian",
     "make_arrhenius_2d",
@@ -51,52 +51,48 @@ class Model:
     input_dim: int
     output_dim: int = 1
 
-    def evaluate(self, z):
-        """Evaluate at one point (d,) -> (d',) or a batch (n, d) -> (n, d')."""
-        z = np.asarray(z, dtype=float)
-        single = z.ndim == 1
-        pts = z.reshape(1, -1) if single else z
-        if pts.shape[1] != self.input_dim:
+    def evaluate(self, z) -> np.ndarray:
+        """Evaluate a batch of points (n, input_dim) -> (n, output_dim)."""
+        pts = np.asarray(z, dtype=float)
+        if pts.ndim != 2 or pts.shape[1] != self.input_dim:
             raise ValueError(
-                f"input dimension {pts.shape[1]} != model dimension {self.input_dim}"
+                f"points must have shape (n, {self.input_dim}), got {pts.shape}"
             )
         out = np.asarray(self.fn(pts), dtype=float)
         if out.ndim == 1:
             out = out.reshape(-1, 1)
         if out.shape != (pts.shape[0], self.output_dim):
             raise ValueError("model returned QoI of unexpected shape")
-        return out[0] if single else out
+        return out
 
 
 @dataclass(frozen=True)
 class LimitState:
-    """Scalar limit-state function; failure holds iff g(qoi) < 0 (strict).
+    """Scalar limit-state function; failure holds iff g(qoi) < 0 (strict),
+    so g == 0 counts as safe.
 
-    Non-finite g values raise ``ValueError``: NaN < 0 is false, so every
-    estimator would otherwise count a NaN silently as safe.
+    ``g`` maps a QoI batch (n, d') to one value per row, shape (n,).  A
+    different shape or a non-finite value raises ``ValueError``: NaN < 0 is
+    false, so every estimator would otherwise count a NaN silently as safe.
     """
 
     g: Callable[[np.ndarray], np.ndarray]
 
-    def evaluate(self, qoi):
+    def evaluate(self, qoi) -> np.ndarray:
         qoi = np.asarray(qoi, dtype=float)
-        single = qoi.ndim == 1
-        vals = np.asarray(self.g(qoi.reshape(1, -1) if single else qoi), dtype=float)
+        if qoi.ndim != 2:
+            raise ValueError(f"QoI must have shape (n, d'), got {qoi.shape}")
+        vals = np.asarray(self.g(qoi), dtype=float)
+        if vals.shape != (qoi.shape[0],):
+            raise ValueError(
+                f"limit state must return shape ({qoi.shape[0]},), got {vals.shape}"
+            )
         bad = int(np.count_nonzero(~np.isfinite(vals)))
         if bad:
             raise ValueError(
                 f"limit state returned {bad} non-finite value(s) out of {vals.size}"
             )
-        return float(vals[0]) if single else vals
-
-
-def indicator(model: Model, ls: LimitState, z):
-    """Failure indicator: 1 iff g(model(z)) < 0, ties count as safe."""
-    qoi = model.evaluate(z)
-    g = ls.evaluate(qoi)
-    if np.isscalar(g):
-        return int(g < 0.0)
-    return (g < 0.0).astype(int)
+        return vals
 
 
 @dataclass(frozen=True)

@@ -89,18 +89,14 @@ def chain_correlation_factor_loop(ind: np.ndarray, lengths) -> float:
 
 
 def gaussian_mixture_pdf_solve(gm, pts: np.ndarray) -> np.ndarray:
-    """Mixture pdf at points (n, d) by a general linear solve against each
-    component's Cholesky factor and a log-sum-exp over components."""
-    logs = np.empty((gm.n_components, pts.shape[0]))
-    for i, (w, mean, cov) in enumerate(zip(gm.weights, gm.means, gm.covariances)):
-        L = np.linalg.cholesky(cov)
-        y = np.linalg.solve(L, (pts - mean).T)
-        quad = np.einsum("ij,ij->j", y, y)
-        log_det = 2.0 * float(np.sum(np.log(np.diag(L))))
-        log_norm = -0.5 * (gm.d * math.log(2.0 * math.pi) + log_det)
-        logs[i] = math.log(w) + log_norm - 0.5 * quad
-    top = logs.max(axis=0)
-    return np.exp(top) * np.exp(logs - top).sum(axis=0)
+    """Gaussian pdf at points (n, d) by a general linear solve against the
+    Cholesky factor of the covariance."""
+    L = np.linalg.cholesky(gm.covariance)
+    y = np.linalg.solve(L, (pts - gm.mean).T)
+    quad = np.einsum("ij,ij->j", y, y)
+    log_det = 2.0 * float(np.sum(np.log(np.diag(L))))
+    log_norm = -0.5 * (gm.d * math.log(2.0 * math.pi) + log_det)
+    return np.exp(log_norm - 0.5 * quad)
 
 
 def importance_sampling_loop(model, ls, nominal, biasing, n, rng, chunk):
@@ -114,8 +110,8 @@ def importance_sampling_loop(model, ls, nominal, biasing, n, rng, chunk):
     while done < n:
         batch = min(chunk, n - done)
         pts = biasing.sample(rng, batch)
-        q_vals = np.atleast_1d(biasing.pdf(pts))
-        p_vals = np.atleast_1d(nominal.pdf(pts))
+        q_vals = biasing.pdf(pts)
+        p_vals = nominal.pdf(pts)
         ind = np.zeros(batch)
         inside = p_vals > 0.0
         evals += int(inside.sum())

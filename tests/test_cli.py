@@ -345,6 +345,20 @@ class TestCommandLine:
         assert main(["run", "--config", str(path)]) == 2
         assert not (tmp_path / "out").exists()
 
+    def test_output_dir_below_a_file_exit_2_before_work(self, tmp_path, capsys, monkeypatch):
+        import rarefuse.cli as cli_mod
+
+        calls = []
+        monkeypatch.setattr(cli_mod, "build_biasing_density", lambda *a, **k: calls.append(a))
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        doc = {"benchmark": "arrhenius-2d", "mode": "all", "output_dir": str(blocker / "out")}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", "--config", str(path)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert calls == []
+
     def test_run_lists_only_files_it_wrote(self, tmp_path, capsys):
         out = tmp_path / "out"
         doc = {

@@ -5,7 +5,7 @@ import pytest
 
 from rarefuse.densities import GaussianMixture
 from rarefuse.mfis import build_biasing_density
-from rarefuse.models import get_benchmark, make_linear_gaussian
+from rarefuse.models import LimitState, get_benchmark, make_linear_gaussian
 
 
 class TestFallback:
@@ -81,7 +81,7 @@ class TestBuild:
         assert np.all(
             b.limit_state.evaluate(b.surrogates[0].evaluate(failing)) < relax
         )
-        np.testing.assert_allclose(rep.density.means[0], failing.mean(axis=0))
+        np.testing.assert_allclose(rep.density.mean, failing.mean(axis=0))
 
     def test_relaxation_monotonicity(self):
         b = make_linear_gaussian(beta=2.5)
@@ -112,9 +112,18 @@ class TestBuild:
                 np.random.default_rng(0), threshold_relax=relax,
             )
 
+    def test_limit_state_must_return_one_value_per_row(self):
+        # g returning (n, 1) used to crash deep inside on a boolean index
+        b = make_linear_gaussian(beta=2.5)
+        column = LimitState(lambda y: 2.5 - y)
+        with pytest.raises(ValueError, match=r"shape \(1000,\)"):
+            build_biasing_density(
+                b.surrogates[0], column, b.nominal, 1000, np.random.default_rng(0)
+            )
+
     def test_gaussian_fit_has_full_support(self):
         # fitted biasing density must cover the whole nominal support; a
-        # Gaussian mixture has full support by construction (the pdf can
+        # Gaussian has full support by construction (the pdf can
         # underflow to 0.0 only tens of sigmas out, far beyond any draw)
         b = get_benchmark("arrhenius-2d")
         rep = build_biasing_density(

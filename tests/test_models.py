@@ -4,41 +4,55 @@ import numpy as np
 import pytest
 
 from rarefuse import benchmark_constants as bc
+from rarefuse.densities import GaussianMixture, UniformBox
+from rarefuse.estimators import importance_sampling_estimate, monte_carlo_estimate
 from rarefuse.models import (
     LimitState,
     Model,
     benchmark_names,
     get_benchmark,
-    indicator,
     make_arrhenius_2d,
     make_linear_gaussian,
     oracle_failure_probability,
 )
 
 
+def failing(b, z):
+    """The failure indicator g(hf(z)) < 0 at a batch of points (n, d)."""
+    return b.limit_state.evaluate(b.high_fidelity.evaluate(z)) < 0.0
+
+
 class TestIndicator:
     def test_origin_is_safe_on_linear_gaussian(self):
         b = make_linear_gaussian()
-        assert indicator(b.high_fidelity, b.limit_state, np.zeros(2)) == 0
+        np.testing.assert_array_equal(failing(b, np.zeros((1, 2))), [False])
 
     def test_tie_counts_as_safe(self):
+        # g == 0 exactly at every point: both estimators count no failure
         model = Model(lambda pts: np.zeros(pts.shape[0]), 1, 1)
-        ls = LimitState(lambda y: y[:, 0])  # g == 0 exactly
-        assert indicator(model, ls, np.array([0.3])) == 0
+        ls = LimitState(lambda y: y[:, 0])
+        nominal = UniformBox([0.0], [1.0])
+        pts = nominal.sample(np.random.default_rng(0), 100)
+        assert np.all(ls.evaluate(model.evaluate(pts)) == 0.0)
+        mc = monte_carlo_estimate(model, ls, nominal, 100, np.random.default_rng(1))
+        biasing = GaussianMixture([(1.0, [0.5], [[1.0]])])
+        is_ = importance_sampling_estimate(
+            model, ls, nominal, biasing, 100, np.random.default_rng(2)
+        )
+        for result in (mc, is_):
+            assert (result.estimate, result.hits) == (0.0, 0)
 
     def test_far_point_fails(self):
         beta, d = 3.5, 2
         b = make_linear_gaussian(beta=beta, d=d)
-        z = np.zeros(d)
-        z[0] = 2 * beta * math.sqrt(d)
-        assert indicator(b.high_fidelity, b.limit_state, z) == 1
+        z = np.zeros((1, d))
+        z[0, 0] = 2 * beta * math.sqrt(d)
+        np.testing.assert_array_equal(failing(b, z), [True])
 
     def test_batch(self):
         b = make_linear_gaussian()
         z = np.array([[0.0, 0.0], [10.0, 10.0]])
-        np.testing.assert_array_equal(
-            indicator(b.high_fidelity, b.limit_state, z), [0, 1]
-        )
+        np.testing.assert_array_equal(failing(b, z), [False, True])
 
 
 class TestOracle:
@@ -114,10 +128,17 @@ class TestModelValidation:
     def test_input_dim_checked(self):
         m = Model(lambda pts: pts.sum(axis=1), 2, 1)
         with pytest.raises(ValueError):
-            m.evaluate(np.zeros(3))
+            m.evaluate(np.zeros((1, 3)))
 
-    def test_single_point_returns_vector(self):
+    def test_single_point_rejected(self):
         m = Model(lambda pts: pts.sum(axis=1), 2, 1)
-        out = m.evaluate(np.array([1.0, 2.0]))
-        assert out.shape == (1,)
-        assert out[0] == 3.0
+        with pytest.raises(ValueError, match=r"shape \(n, 2\)"):
+            m.evaluate(np.array([1.0, 2.0]))
+
+    def test_limit_state_must_return_one_value_per_row(self):
+        # tau - y keeps the QoI column: shape (n, 1), not (n,)
+        ls = LimitState(lambda y: 1.0 - y)
+        with pytest.raises(ValueError, match=r"shape \(5,\), got \(5, 1\)"):
+            ls.evaluate(np.zeros((5, 1)))
+        with pytest.raises(ValueError, match="QoI must have shape"):
+            LimitState(lambda y: 1.0 - y[:, 0]).evaluate(np.zeros(5))
