@@ -194,6 +194,7 @@ class CampaignReport:
     fused_rows: list[dict] = field(default_factory=list)
     convergence_rows: list[dict] = field(default_factory=list)
     subset_rows: list[dict] = field(default_factory=list)
+    subset_levels: list[list[dict]] = field(default_factory=list)
     budget: dict = field(default_factory=dict)
     timings: dict = field(default_factory=dict)
     files: list[str] = field(default_factory=list)
@@ -363,6 +364,7 @@ def _subset_phase(config: ExperimentConfig, benchmark: Benchmark, report: Campai
                 **result.csv_row(),
             }
         )
+        report.subset_levels.append(result.level_stats)
     evaluations = sum(row["model_evals"] for row in report.subset_rows)
     report.budget["subset_hf_evaluations"] = evaluations
     report.timings["subset_s"] = time.perf_counter() - t0
@@ -371,13 +373,16 @@ def _subset_phase(config: ExperimentConfig, benchmark: Benchmark, report: Campai
 def _write_outputs(report: CampaignReport, out_dir: Path) -> list[str]:
     """Write every output file that has content; returns the names written."""
     config = report.config
-    reference = report.reference_report.to_dict() if report.reference_report else None
+    built = report.reference_report is not None
+    reference = report.reference_report.to_dict() if built else None
     densities_doc = {
         "config_hash": report.config_hash,
         "benchmark": config.benchmark,
         "densities": [r.to_dict() for r in report.density_reports],
         "reference": reference,
     }
+    densities_json = json.dumps(densities_doc, indent=2, sort_keys=True) if built else ""
+    # the CSVs hold the per-repetition rows; report.json does not repeat them
     report_doc = {
         "config": config.to_dict(),
         "config_hash": report.config_hash,
@@ -385,28 +390,29 @@ def _write_outputs(report: CampaignReport, out_dir: Path) -> list[str]:
         "timings": report.timings,
         "density_reports": densities_doc["densities"],
         "reference_report": reference,
-        "fused": report.fused_rows,
-        "subset": report.subset_rows,
+        "subset_levels": report.subset_levels,
     }
     run_columns = ["config_hash", "seed", "n_total", "repetition"]
     alphas = [f"alpha_{i + 1}" for i in range(len(report.density_reports))]
-    # (name, CSV columns or None for a JSON file, rows or the JSON text)
+    # (name, CSV columns or None for a JSON file, rows or the JSON text);
+    # empty content means the phase that fills the file did not run
     files = [
-        ("densities.json", None, json.dumps(densities_doc, indent=2, sort_keys=True)),
+        ("densities.json", None, densities_json),
         ("estimates.csv", [*run_columns, *_ESTIMATE_COLUMNS], report.estimator_rows),
         ("weights.csv", [*run_columns, *_WEIGHT_COLUMNS, *alphas], report.fused_rows),
         ("convergence.csv", _CONVERGENCE_COLUMNS, report.convergence_rows),
         ("subset.csv", _SUBSET_COLUMNS, report.subset_rows),
-        ("report.json", None, json.dumps(report_doc, indent=2)),
+        # strict JSON: a non-finite float raises instead of writing NaN
+        ("report.json", None, json.dumps(report_doc, indent=2, allow_nan=False)),
     ]
     written = []
     for name, columns, content in files:
+        if not content:
+            continue
         if columns is None:
             (out_dir / name).write_text(content + "\n")
-        elif content:
-            _write_csv(out_dir / name, columns, content)
         else:
-            continue
+            _write_csv(out_dir / name, columns, content)
         written.append(name)
     return written
 

@@ -197,7 +197,7 @@ class GaussianMixture:
 
 
 def fit_gaussian(samples) -> GaussianMixture:
-    """Fit a Gaussian to the given samples.
+    """Fit a Gaussian to an (n, d) batch of samples.
 
     Uses the sample mean and the unbiased (n-1 divisor) sample covariance,
     then inflates each diagonal entry by the relative ridge
@@ -214,11 +214,12 @@ def fit_gaussian(samples) -> GaussianMixture:
         Fewer than d+2 samples ("insufficient failure samples"); callers
         building biasing densities fall back to the nominal density.
     ValueError
-        Degenerate samples whose regularized covariance is still singular.
+        Samples not of shape (n, d), or degenerate samples whose
+        regularized covariance is still singular.
     """
     pts = np.asarray(samples, dtype=float)
-    if pts.ndim == 1:
-        pts = pts.reshape(-1, 1)
+    if pts.ndim != 2:
+        raise ValueError(f"samples must have shape (n, d), got {pts.shape}")
     n, d = pts.shape
     if n < d + 2:
         raise InsufficientSamplesError(

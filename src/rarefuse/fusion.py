@@ -12,12 +12,12 @@ whose optimality system is the symmetric (k+1) x (k+1) block
     [ S   1 ] [alpha]   [0]
     [ 1'  0 ] [lambda] = [1].
 
-For nonsingular S the solution is alpha = S^-1 1 / (1' S^-1 1) with
-variance 1 / (1' S^-1 1); for uncorrelated estimators this reduces to the
-classical inverse-variance weighted mean.  The block system is solved with
-a symmetric-indefinite factorization plus one step of iterative refinement
-rather than through an explicit inverse, which behaves better for
-ill-conditioned S.
+For positive definite S the solution is alpha = S^-1 1 / (1' S^-1 1)
+with variance 1 / (1' S^-1 1); for uncorrelated estimators this reduces
+to the classical inverse-variance weighted mean.  S^-1 1 is solved from
+one Cholesky factor rather than through an explicit inverse; the
+factorization also rejects an S that is not positive definite, for which
+the formula would return a negative "variance".
 """
 
 from __future__ import annotations
@@ -96,35 +96,18 @@ class FusedResult:
     no_information: bool = False
 
 
-def _solve_kkt(entries: np.ndarray) -> tuple[np.ndarray, float]:
-    """Solve the optimality block system; returns (weights, multiplier)."""
-    k = entries.shape[0]
-    kkt = np.zeros((k + 1, k + 1))
-    kkt[:k, :k] = entries
-    kkt[:k, k] = 1.0
-    kkt[k, :k] = 1.0
-    rhs = np.zeros(k + 1)
-    rhs[k] = 1.0
-    x = scipy.linalg.solve(kkt, rhs, assume_a="sym")
-    # one step of iterative refinement
-    residual = rhs - kkt @ x
-    x = x + scipy.linalg.solve(kkt, residual, assume_a="sym")
-    return x[:k], float(x[k])
-
-
 def optimal_weights(cov: CovarianceMatrix) -> tuple[np.ndarray, float, float]:
     """Minimum-variance weights for possibly correlated estimators.
 
     Returns ``(weights, multiplier, variance)`` where the multiplier is the
     Lagrange multiplier of the sum-to-one constraint (equal to minus the
-    fused variance) and ``variance = weights' S weights``.
+    fused variance) and ``variance = weights' S weights = 1 / (1' S^-1 1)``.
 
     Raises :class:`SingularCovarianceError` when the 1-norm condition
     estimate exceeds 1e12; callers holding independent estimators should
-    use :func:`optimal_weights_diagonal` instead.
+    use :func:`optimal_weights_diagonal` instead.  Raises ``ValueError``
+    when the covariance is not positive definite.
     """
-    if np.any(np.diag(cov.entries) <= 0.0):
-        raise ValueError("covariance diagonal must be strictly positive")
     try:
         condition = float(np.linalg.cond(cov.entries, 1))
     except np.linalg.LinAlgError:  # exactly singular
@@ -134,9 +117,13 @@ def optimal_weights(cov: CovarianceMatrix) -> tuple[np.ndarray, float, float]:
             "covariance condition estimate exceeds 1e12; "
             "fall back to diagonal fusion of the individual variances"
         )
-    weights, multiplier = _solve_kkt(cov.entries)
-    variance = float(weights @ cov.entries @ weights)
-    return weights, multiplier, variance
+    try:
+        factor = scipy.linalg.cho_factor(cov.entries)
+    except np.linalg.LinAlgError:
+        raise ValueError("covariance must be positive definite") from None
+    x = scipy.linalg.cho_solve(factor, np.ones(cov.k))
+    total = float(x.sum())
+    return x / total, -1.0 / total, 1.0 / total
 
 
 def optimal_weights_diagonal(variances) -> tuple[np.ndarray, float]:
@@ -204,7 +191,7 @@ def fuse(
 
     Without ``covariance`` the estimators count as independent, with
     inverse-variance weights from ``sample_variance_i / n_i``; a full
-    :class:`CovarianceMatrix` over the inputs selects the KKT solution.
+    :class:`CovarianceMatrix` over the inputs selects :func:`optimal_weights`.
 
     Degenerate-input policy: a result with zero sample variance and a zero
     estimate carries no information about the failure region and is

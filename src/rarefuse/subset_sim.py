@@ -33,17 +33,22 @@ PROPOSAL_WIDTH = 0.5
 
 @dataclass(frozen=True)
 class SubsetResult:
-    """Outcome of one subset-simulation run."""
+    """Outcome of one subset-simulation run.
+
+    ``level_stats`` holds one record of scalars per level: its
+    ``threshold`` b_j (0 at the last level of a converged run), ``p_level``
+    (the fraction of its samples in the next conditioning set, g <= b_j,
+    or g < 0 at that last level), the chain correlation factor ``gamma``,
+    ``failures`` (its samples with g < 0) and ``g_max`` (its largest g).
+    """
 
     estimate: float
     levels: int
-    thresholds: list[float]
     samples_per_level: int
     total_model_evals: int
     approx_cv: float
-    p0: float
-    converged: bool = True
-    level_stats: list[dict] = field(default_factory=list, repr=False)
+    converged: bool
+    level_stats: list[dict] = field(repr=False)
 
     def csv_row(self) -> dict:
         return {
@@ -150,7 +155,6 @@ def subset_simulation(
     p0: float,
     max_levels: int,
     rng: np.random.Generator,
-    keep_samples: bool = False,
 ) -> SubsetResult:
     """Estimate the failure probability by subset simulation.
 
@@ -182,7 +186,6 @@ def subset_simulation(
     total_evals = N
 
     quantile_idx = math.ceil(p0 * N) - 1
-    thresholds: list[float] = []
     delta_sq: list[float] = []
     stats: list[dict] = []
     lengths: list[int] | None = None  # None marks the independent first level
@@ -196,7 +199,6 @@ def subset_simulation(
             seed_mask = g_vals < 0.0
         else:
             seed_mask = g_vals <= b
-        thresholds.append(b)
         p_level = float(seed_mask.mean())
         gamma = (
             0.0
@@ -205,16 +207,15 @@ def subset_simulation(
         )
         if p_level > 0.0:
             delta_sq.append((1.0 - p_level) / (N * p_level) * (1.0 + gamma))
-        if keep_samples:
-            stats.append(
-                {
-                    "threshold": b,
-                    "p_level": p_level,
-                    "gamma": gamma,
-                    "g_values": g_vals,
-                    "seed_mask": seed_mask,
-                }
-            )
+        stats.append(
+            {
+                "threshold": b,
+                "p_level": p_level,
+                "gamma": gamma,
+                "failures": int(np.count_nonzero(g_vals < 0.0)),
+                "g_max": float(g_vals.max()),
+            }
+        )
         if converged or level >= max_levels:
             break
         points, g_vals, new_evals, lengths = _grow_chains(
@@ -223,12 +224,12 @@ def subset_simulation(
         total_evals += new_evals
         level += 1
 
-    # a run stopped by max_levels never reached the true failure threshold
-    p_fail = p_level if converged else float((g_vals < 0.0).mean())
+    # a run stopped by max_levels never reached the true failure threshold,
+    # so its last level counts g < 0, not g <= its threshold
+    p_fail = stats[-1]["failures"] / N
     return SubsetResult(
         estimate=p0 ** (level - 1) * p_fail,
         levels=level,
-        thresholds=thresholds,
         samples_per_level=N,
         total_model_evals=total_evals,
         approx_cv=(
@@ -236,7 +237,6 @@ def subset_simulation(
             if converged and p_fail > 0.0
             else float("inf")
         ),
-        p0=p0,
         converged=converged,
         level_stats=stats,
     )

@@ -39,6 +39,24 @@ def read_csv(path):
         return list(csv.DictReader(fh))
 
 
+def raise_on_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def write_subset_only_config(tmp_path):
+    """A subset-only config whose run stops unconverged at two levels."""
+    path = tmp_path / "cfg.json"
+    doc = {
+        "benchmark": "arrhenius-2d",
+        "mode": "subset",
+        "seed": 3,
+        "output_dir": str(tmp_path / "out"),
+        "subset": {"N": 500, "max_levels": 2},
+    }
+    path.write_text(json.dumps(doc))
+    return path
+
+
 def small_config(tmp_path, **overrides):
     doc = {
         "benchmark": "linear-gaussian-2.5",
@@ -265,6 +283,28 @@ class TestRunExperiment:
         for col in ("samples", "samples_each_level", "levels", "estimate", "approx_cv"):
             assert col in header
 
+    def test_subset_levels_recorded_per_repetition(self, tmp_path):
+        config = small_config(
+            tmp_path, benchmark="arrhenius-2d", mode="subset", repetitions=6,
+            subset={"N": 500, "p0": 0.1, "max_levels": 12},
+        )
+        run_experiment(config)
+        out = Path(config.output_dir)
+        report = json.loads((out / "report.json").read_text())
+        rows = read_csv(out / "subset.csv")
+        assert len(report["subset_levels"]) == len(rows) == config.repetitions
+        assert "subset" not in report and "fused" not in report
+        converged = 0
+        for row, records in zip(rows, report["subset_levels"]):
+            assert len(records) == int(row["levels"])
+            if row["converged"] != "true":
+                continue
+            converged += 1
+            last = records[-1]
+            assert float(row["estimate"]) == 0.1 ** (len(records) - 1) * last["p_level"]
+            assert last["failures"] / 500 == last["p_level"]
+        assert converged > 0
+
     def test_convergence_study_rows(self, tmp_path):
         config = small_config(tmp_path, mode="fuse")
         rows = run_experiment(config).convergence_rows
@@ -378,6 +418,22 @@ class TestCommandLine:
         assert listed_files(capsys.readouterr().out) == ["densities.json", "report.json"]
         # files of the earlier run stay on disk; they are just not listed
         assert (out / "estimates.csv").exists()
+
+    def test_subset_mode_lists_only_its_files(self, tmp_path, capsys):
+        path = write_subset_only_config(tmp_path)
+        assert main(["run", "--config", str(path)]) == 0
+        assert listed_files(capsys.readouterr().out) == ["subset.csv", "report.json"]
+        assert not (tmp_path / "out" / "densities.json").exists()
+
+    def test_report_json_is_strict(self, tmp_path):
+        # the unconverged run's approx_cv is inf; report.json must still
+        # parse without the NaN/Infinity extension
+        path = write_subset_only_config(tmp_path)
+        assert main(["run", "--config", str(path)]) == 0
+        out = tmp_path / "out"
+        assert read_csv(out / "subset.csv")[0]["approx_cv"] == "inf"
+        report = json.loads((out / "report.json").read_text(), parse_constant=raise_on_constant)
+        assert len(report["subset_levels"]) == 1
 
     def test_readme_example_config_runs(self, tmp_path, capsys):
         block = re.search(r"```json\n(.*?)```", README.read_text(), re.S)

@@ -185,6 +185,11 @@ class TestFitGaussian:
         assert gm.mean[0] == pytest.approx(0.0, abs=1e-15)
         assert gm.covariance[0, 0] == pytest.approx(1.0, rel=1e-9)
 
+    def test_one_dimensional_array_rejected(self):
+        # a 1-d array is not read as n samples of dimension 1
+        with pytest.raises(ValueError, match=r"shape \(n, d\)"):
+            fit_gaussian(np.array([-1.0, 1.0, 0.0]))
+
     def test_minimum_sample_count(self):
         with pytest.raises(InsufficientSamplesError, match="insufficient"):
             fit_gaussian(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]]))

@@ -71,6 +71,16 @@ class TestOptimalWeights:
         with pytest.raises(SingularCovarianceError, match="diagonal"):
             optimal_weights(cov)
 
+    def test_indefinite_matrix_rejected(self):
+        # well conditioned but indefinite: 1' S^-1 1 < 0 would give weights
+        # [0.5, 0.5] with "variance" -0.5
+        indefinite = np.array([[1.0, -2.0], [-2.0, 1.0]])
+        with pytest.raises(ValueError, match="positive definite"):
+            optimal_weights(CovarianceMatrix(indefinite))
+        rs = [result(0.010, 100, 4.0, "a"), result(0.014, 100, 4.0, "b")]
+        with pytest.raises(ValueError, match="positive definite"):
+            fuse(rs, covariance=CovarianceMatrix(0.04 * indefinite))
+
     def test_nonpositive_diagonal_rejected(self):
         with pytest.raises(ValueError):
             optimal_weights(CovarianceMatrix(np.diag([1.0, 0.0])))

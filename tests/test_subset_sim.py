@@ -67,11 +67,10 @@ class TestSubsetSimulation:
         rng = np.random.default_rng(0)
         res = subset_simulation(
             b.high_fidelity, b.limit_state, b.nominal, 2000, 0.1, 12, rng,
-            keep_samples=True,
         )
         assert res.levels == 1
-        assert res.thresholds == [0.0]
-        hits = int((res.level_stats[0]["g_values"] < 0).sum())
+        assert [s["threshold"] for s in res.level_stats] == [0.0]
+        hits = res.level_stats[0]["failures"]
         assert res.estimate == hits / 2000
 
     def test_level_count_brackets_linear_gaussian(self):
@@ -102,9 +101,9 @@ class TestSubsetSimulation:
         b = get_benchmark("arrhenius-2d")
         res = subset_simulation(
             b.high_fidelity, b.limit_state, b.nominal, 1000, 0.1, 12,
-            np.random.default_rng(3), keep_samples=True,
+            np.random.default_rng(3),
         )
-        hits = int((res.level_stats[-1]["g_values"] < 0.0).sum())
+        hits = res.level_stats[-1]["failures"]
         assert res.estimate == 0.1 ** (res.levels - 1) * (hits / 1000)
 
     def test_thresholds_strictly_decreasing_to_zero(self):
@@ -114,23 +113,26 @@ class TestSubsetSimulation:
             np.random.default_rng(8),
         )
         assert res.converged
-        assert res.thresholds[-1] == 0.0
-        diffs = np.diff(res.thresholds)
+        thresholds = [s["threshold"] for s in res.level_stats]
+        assert thresholds[-1] == 0.0
+        diffs = np.diff(thresholds)
         assert np.all(diffs < 0)
 
     def test_nestedness_of_seed_sets(self):
         b = get_benchmark("arrhenius-2d")
         res = subset_simulation(
             b.high_fidelity, b.limit_state, b.nominal, 1000, 0.1, 12,
-            np.random.default_rng(2), keep_samples=True,
+            np.random.default_rng(2),
         )
-        for level, stats in enumerate(res.level_stats[:-1]):
-            b_next = res.thresholds[level]
-            seeds_g = stats["g_values"][stats["seed_mask"]]
-            # seeds for the next level lie inside this level's failure set
-            assert np.all(seeds_g <= b_next)
+        stats = res.level_stats
+        assert len(stats) == res.levels > 2
+        for level in range(len(stats) - 1):
+            b_next = stats[level]["threshold"]
+            # the next level, grown from this level's seeds, stays inside
+            # this level's failure set
+            assert stats[level + 1]["g_max"] <= b_next
             if level > 0:
-                assert b_next < res.thresholds[level - 1]
+                assert b_next < stats[level - 1]["threshold"]
 
     def test_model_eval_accounting(self):
         b = get_benchmark("arrhenius-2d")
@@ -161,6 +163,23 @@ class TestSubsetSimulation:
         assert res.converged is False
         assert res.levels == 2
         assert math.isinf(res.approx_cv)
+
+    def test_first_level_record_describes_the_nominal_draws(self):
+        # level 1 is the first N unit-cube draws of the generator, mapped to
+        # the input space; its record counts their failures and largest g
+        b = get_benchmark("arrhenius-2d")
+        res = subset_simulation(
+            b.high_fidelity, b.limit_state, b.nominal, 500, 0.1, 2,
+            np.random.default_rng(0),
+        )
+        u = np.random.default_rng(0).random((500, b.nominal.d))
+        g = b.limit_state.evaluate(b.high_fidelity.evaluate(b.nominal.from_unit_cube(u)))
+        first = res.level_stats[0]
+        assert first["failures"] == np.count_nonzero(g < 0.0)
+        assert first["g_max"] == g.max()
+        assert first["threshold"] == np.sort(g)[49]
+        assert first["p_level"] == np.count_nonzero(g <= first["threshold"]) / 500
+        assert first["gamma"] == 0.0
 
     def test_input_validation(self):
         b = get_benchmark("arrhenius-2d")
