@@ -27,7 +27,6 @@ from .fusion import (
     CovarianceMatrix,
     FusedResult,
     SingularCovarianceError,
-    componentwise_weight_residual,
     dominance_criterion,
     fuse,
     optimal_weights,
@@ -75,7 +74,6 @@ __all__ = [
     "optimal_weights",
     "optimal_weights_diagonal",
     "fuse",
-    "componentwise_weight_residual",
     "dominance_criterion",
     "SingularCovarianceError",
     "SubsetResult",

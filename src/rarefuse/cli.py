@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .estimators import importance_sampling_estimate, monte_carlo_estimate
+from .estimators import cv, importance_sampling_estimate, monte_carlo_estimate, rmse
 from .fusion import fuse
 from .mfis import BiasingBuildReport, build_biasing_density
 from .models import Benchmark, benchmark_names, get_benchmark, oracle_failure_probability
@@ -124,8 +124,8 @@ class ExperimentConfig:
             raise ConfigError("n_grid must be nonempty")
         for n in self.n_grid:
             _require_count("n_grid entry", n, 1)
-        if list(self.n_grid) != sorted(self.n_grid):
-            raise ConfigError("n_grid must be ascending")
+        if any(a >= b for a, b in zip(self.n_grid, self.n_grid[1:])):
+            raise ConfigError("n_grid must be strictly ascending")
         if self.split != "equal":
             raise ConfigError("only the 'equal' split rule is supported")
         if not isinstance(self.output_dir, str):
@@ -301,7 +301,17 @@ def _estimate_phase(config: ExperimentConfig, benchmark: Benchmark, report: Camp
                 "repetition": rep,
             }
             for res in results:
-                row = {**base, **res.csv_row()}
+                row = {
+                    **base,
+                    "density_id": res.density_id,
+                    "kind": res.kind,
+                    "n": res.n,
+                    "estimate": res.estimate,
+                    "sample_variance": res.sample_variance,
+                    "hits": res.hits,
+                    "rmse": rmse(res),
+                    "cv": cv(res) if res.estimate > 0.0 else float("nan"),
+                }
                 report.estimator_rows.append(row)
                 per_rep[res.density_id].append(row)
 
@@ -359,9 +369,13 @@ def _subset_phase(config: ExperimentConfig, benchmark: Benchmark, report: Campai
                 "config_hash": report.config_hash,
                 "seed": config.seed,
                 "repetition": rep,
+                "samples": config.subset.N * result.levels,
+                "samples_each_level": config.subset.N,
+                "levels": result.levels,
+                "estimate": result.estimate,
+                "approx_cv": result.approx_cv,
                 "converged": result.converged,
                 "model_evals": result.total_model_evals,
-                **result.csv_row(),
             }
         )
         report.subset_levels.append(result.level_stats)

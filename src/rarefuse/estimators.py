@@ -76,19 +76,6 @@ class EstimatorResult:
         """Variance of the estimator itself: sample_variance / n."""
         return self.sample_variance / self.n
 
-    def csv_row(self) -> dict:
-        row = {
-            "density_id": self.density_id,
-            "kind": self.kind,
-            "n": self.n,
-            "estimate": self.estimate,
-            "sample_variance": self.sample_variance,
-            "hits": self.hits,
-            "rmse": rmse(self),
-        }
-        row["cv"] = cv(self) if self.estimate > 0.0 else float("nan")
-        return row
-
 
 def _exact_sum(values: np.ndarray) -> float:
     """Correctly rounded sum of a 1-d float array, bit-identical to

@@ -36,7 +36,6 @@ __all__ = [
     "optimal_weights",
     "optimal_weights_diagonal",
     "fuse",
-    "componentwise_weight_residual",
     "dominance_criterion",
     "SingularCovarianceError",
 ]
@@ -73,10 +72,6 @@ class CovarianceMatrix:
     @property
     def k(self) -> int:
         return self.entries.shape[0]
-
-    @classmethod
-    def diagonal(cls, variances) -> "CovarianceMatrix":
-        return cls(np.diag(np.asarray(variances, dtype=float)))
 
 
 @dataclass(frozen=True)
@@ -139,34 +134,6 @@ def optimal_weights_diagonal(variances) -> tuple[np.ndarray, float]:
     inv = 1.0 / v
     total = inv.sum()
     return inv / total, float(1.0 / total)
-
-
-def componentwise_weight_residual(cov: CovarianceMatrix, weights) -> float:
-    """Self-check of a weight vector against the component-wise optimality
-    formula.
-
-    Each optimal weight satisfies
-
-        alpha_i = (1/S_ii) * [ (1 + T) / sum_l (1/S_ll) - sum_{j!=i} alpha_j S_ij ]
-
-    with T = sum_l (1/S_ll) sum_{j!=l} alpha_j S_lj, i.e. the weights are
-    inversely proportional to the individual variances with corrections
-    from the cross-covariances.  Returns max_i |alpha_i - rhs_i|; weights
-    from :func:`optimal_weights` reproduce themselves to ~1e-10.
-    """
-    alpha = np.asarray(weights, dtype=float)
-    m = cov.entries
-    diag = np.diag(m)
-    if np.any(diag <= 0.0):
-        raise ValueError("covariance diagonal must be strictly positive")
-    if abs(alpha.sum() - 1.0) > 1e-9:
-        raise ValueError("weights must sum to 1")
-    off = m - np.diag(diag)
-    cross = off @ alpha  # sum_{j != i} alpha_j S_ij, for every i
-    inv_sum = float((1.0 / diag).sum())
-    t_corr = float((cross / diag).sum())
-    rhs = ((1.0 + t_corr) / inv_sum - cross) / diag
-    return float(np.max(np.abs(alpha - rhs)))
 
 
 def dominance_criterion(variances, candidate_variance: float) -> bool:

@@ -44,20 +44,10 @@ class SubsetResult:
 
     estimate: float
     levels: int
-    samples_per_level: int
     total_model_evals: int
     approx_cv: float
     converged: bool
     level_stats: list[dict] = field(repr=False)
-
-    def csv_row(self) -> dict:
-        return {
-            "samples": self.samples_per_level * self.levels,
-            "samples_each_level": self.samples_per_level,
-            "levels": self.levels,
-            "estimate": self.estimate,
-            "approx_cv": self.approx_cv,
-        }
 
 
 def _reflect(x: np.ndarray) -> np.ndarray:
@@ -96,26 +86,27 @@ def _grow_chains(seeds_u, seeds_g, threshold, n_total, width, rng, g_of_points):
     at any step form a prefix.  All of them advance in lockstep, one
     :func:`_metropolis_move` (one model call) per step.  Chains include
     their seed, so each contributes length-1 new model evaluations.
-    Returns (points, g_values, model_evals, chain_lengths) with the points
-    stored chain after chain.
+    Returns (grid, g_grid, filled): chain c is row c of the (n_seeds,
+    steps, d) points and the (n_seeds, steps) g values, seed first, and
+    ``filled`` marks its first length entries; the entries past a chain's
+    end hold no sample.
     """
     n_seeds, d = seeds_u.shape
     base, rem = divmod(n_total, n_seeds)
-    lengths = [base + 1 if c < rem else base for c in range(n_seeds)]
-    steps = lengths[0]
+    steps = base + (rem > 0)
     grid = np.empty((n_seeds, steps, d))
-    g_grid = np.empty((n_seeds, steps))
+    g_grid = np.zeros((n_seeds, steps))
     grid[:, 0], g_grid[:, 0] = seeds_u, seeds_g
     for t in range(1, steps):
         active = n_seeds if t < base else rem
         grid[:active, t], g_grid[:active, t] = _metropolis_move(
             grid[:active, t - 1], g_grid[:active, t - 1], threshold, width, rng, g_of_points
         )
-    filled = np.arange(steps) < np.array(lengths)[:, None]
-    return grid[filled], g_grid[filled], n_total - n_seeds, lengths
+    lengths = base + (np.arange(n_seeds) < rem)
+    return grid, g_grid, np.arange(steps) < lengths[:, None]
 
 
-def _chain_correlation_factor(ind: np.ndarray, lengths: list[int]) -> float:
+def _chain_correlation_factor(ind: np.ndarray, filled: np.ndarray) -> float:
     """Autocorrelation inflation factor gamma of a chain-sampled indicator.
 
     Frozen estimator: with N samples in Nc chains of average length
@@ -124,24 +115,22 @@ def _chain_correlation_factor(ind: np.ndarray, lengths: list[int]) -> float:
     at that lag, pooled over chains (products of pairs lag apart within a
     chain, minus the squared level probability, normalized by the lag-0
     variance).  Independent samples give gamma = 0.
-    Chains are rows of a zero-padded grid; sums of 0/1 products are exact,
-    so the result does not depend on the summation order.
+    ``ind`` and ``filled`` are (chains, steps) grids with one chain per
+    row, as :func:`_grow_chains` returns them; ``ind`` is 0 outside
+    ``filled``.  Sums of 0/1 products are exact, so the result does not
+    depend on the summation order.
     """
-    n = ind.size
-    n_chains = len(lengths)
-    p = float(ind.mean())
+    n = int(np.count_nonzero(filled))
+    n_chains = filled.shape[0]
+    p = float(ind.sum()) / n
     r0 = p * (1.0 - p)
     if r0 == 0.0:
         return 0.0
-    max_lag = n // n_chains
-    lengths_arr = np.asarray(lengths)
-    grid = np.zeros((n_chains, lengths_arr.max()))
-    grid[np.arange(grid.shape[1]) < lengths_arr[:, None]] = ind
     gamma = 0.0
-    for lag in range(1, max_lag):
+    for lag in range(1, n // n_chains):
         # lag < N/Nc <= the longest chain, so pairs > 0
-        pairs = int(np.maximum(lengths_arr - lag, 0).sum())
-        num = float(np.vdot(grid[:, :-lag], grid[:, lag:]))
+        pairs = int(np.count_nonzero(filled[:, lag:]))
+        num = float(np.vdot(ind[:, :-lag], ind[:, lag:]))
         rho = (num / pairs - p * p) / r0
         gamma += 2.0 * (1.0 - lag * n_chains / n) * rho
     return gamma
@@ -181,62 +170,51 @@ def subset_simulation(
     def g_of_points(u):
         return ls.evaluate(model.evaluate(nominal.from_unit_cube(u)))
 
-    points = rng.random((N, nominal.d))
-    g_vals = g_of_points(points)
+    # level 1: N independent nominal draws, held as N chains of length 1
+    u = rng.random((N, nominal.d))
+    grid, g_grid, filled = u[:, None], g_of_points(u)[:, None], np.ones((N, 1), dtype=bool)
     total_evals = N
-
     quantile_idx = math.ceil(p0 * N) - 1
-    delta_sq: list[float] = []
     stats: list[dict] = []
-    lengths: list[int] | None = None  # None marks the independent first level
-    level = 1
 
     while True:
+        g_vals = g_grid[filled]
         b = float(np.sort(g_vals)[quantile_idx])
         converged = b <= 0.0
         if converged:
             b = 0.0
-            seed_mask = g_vals < 0.0
+            seed_mask = filled & (g_grid < 0.0)
         else:
-            seed_mask = g_vals <= b
-        p_level = float(seed_mask.mean())
-        gamma = (
-            0.0
-            if lengths is None
-            else _chain_correlation_factor(seed_mask.astype(float), lengths)
-        )
-        if p_level > 0.0:
-            delta_sq.append((1.0 - p_level) / (N * p_level) * (1.0 + gamma))
+            seed_mask = filled & (g_grid <= b)
+        n_seeds = int(np.count_nonzero(seed_mask))
         stats.append(
             {
                 "threshold": b,
-                "p_level": p_level,
-                "gamma": gamma,
+                "p_level": n_seeds / N,
+                "gamma": _chain_correlation_factor(seed_mask.astype(float), filled),
                 "failures": int(np.count_nonzero(g_vals < 0.0)),
                 "g_max": float(g_vals.max()),
             }
         )
-        if converged or level >= max_levels:
+        if converged or len(stats) >= max_levels:
             break
-        points, g_vals, new_evals, lengths = _grow_chains(
-            points[seed_mask], g_vals[seed_mask], b, N, PROPOSAL_WIDTH, rng, g_of_points
+        grid, g_grid, filled = _grow_chains(
+            grid[seed_mask], g_grid[seed_mask], b, N, PROPOSAL_WIDTH, rng, g_of_points
         )
-        total_evals += new_evals
-        level += 1
+        total_evals += N - n_seeds
 
     # a run stopped by max_levels never reached the true failure threshold,
     # so its last level counts g < 0, not g <= its threshold
     p_fail = stats[-1]["failures"] / N
+    approx_cv = math.inf
+    if converged and p_fail > 0.0:  # so every level's p_level is positive
+        terms = ((1.0 - s["p_level"]) / (N * s["p_level"]) * (1.0 + s["gamma"]) for s in stats)
+        approx_cv = math.sqrt(math.fsum(terms))
     return SubsetResult(
-        estimate=p0 ** (level - 1) * p_fail,
-        levels=level,
-        samples_per_level=N,
+        estimate=p0 ** (len(stats) - 1) * p_fail,
+        levels=len(stats),
         total_model_evals=total_evals,
-        approx_cv=(
-            math.sqrt(math.fsum(delta_sq))
-            if converged and p_fail > 0.0
-            else float("inf")
-        ),
+        approx_cv=approx_cv,
         converged=converged,
         level_stats=stats,
     )

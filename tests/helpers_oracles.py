@@ -2,13 +2,16 @@
 
 These deliberately avoid the code paths they check: the quadratic-program
 solver below is a plain projected-gradient iteration, not a linear solve.
-The Gaussian-mixture pdf and the importance-sampling loop are the plain
-forms the package once used, kept as references for the faster ones.
+The Gaussian-mixture pdf, the importance-sampling loop and the subset
+simulation level loop are the plain forms the package once used, kept as
+references for the faster ones.
 """
 
 import math
 
 import numpy as np
+
+from rarefuse.subset_sim import PROPOSAL_WIDTH, SubsetResult, _metropolis_move
 
 
 def random_spd(rng: np.random.Generator, k: int, eig_low=0.1, eig_high=10.0):
@@ -36,6 +39,33 @@ def qp_bruteforce_weights(sigma: np.ndarray, tol=1e-13, max_iter=500_000):
             return y
         x = y
     return x
+
+
+def componentwise_weight_residual(sigma: np.ndarray, weights) -> float:
+    """Check a weight vector against the component-wise optimality formula.
+
+    Each optimal weight satisfies
+
+        alpha_i = (1/S_ii) * [ (1 + T) / sum_l (1/S_ll) - sum_{j!=i} alpha_j S_ij ]
+
+    with T = sum_l (1/S_ll) sum_{j!=l} alpha_j S_lj, i.e. the weights are
+    inversely proportional to the individual variances with corrections
+    from the cross-covariances.  Returns max_i |alpha_i - rhs_i|; optimal
+    weights reproduce themselves to ~1e-10.
+    """
+    alpha = np.asarray(weights, dtype=float)
+    m = np.asarray(sigma, dtype=float)
+    diag = np.diag(m)
+    if np.any(diag <= 0.0):
+        raise ValueError("covariance diagonal must be strictly positive")
+    if abs(alpha.sum() - 1.0) > 1e-9:
+        raise ValueError("weights must sum to 1")
+    off = m - np.diag(diag)
+    cross = off @ alpha  # sum_{j != i} alpha_j S_ij, for every i
+    inv_sum = float((1.0 / diag).sum())
+    t_corr = float((cross / diag).sum())
+    rhs = ((1.0 + t_corr) / inv_sum - cross) / diag
+    return float(np.max(np.abs(alpha - rhs)))
 
 
 def midpoint_quadrature_1d(fn, lo, hi, n=4000):
@@ -86,6 +116,89 @@ def chain_correlation_factor_loop(ind: np.ndarray, lengths) -> float:
         rho = (num / pairs - p * p) / r0
         gamma += 2.0 * (1.0 - lag * n_chains / n) * rho
     return gamma
+
+
+def subset_simulation_loop(model, ls, nominal, N, p0, max_levels, rng) -> SubsetResult:
+    """Subset simulation with each level stored flat, chain after chain.
+
+    Every level is a flat array of N samples plus the list of its chain
+    lengths (none at the independent first level, whose gamma is 0); the
+    chains of the next level grow in lockstep from the seeds, one
+    ``_metropolis_move`` per step, and gamma comes from
+    :func:`chain_correlation_factor_loop`.  The squared CV terms are summed
+    as the levels are made.
+    """
+
+    def g_of_points(u):
+        return ls.evaluate(model.evaluate(nominal.from_unit_cube(u)))
+
+    points = rng.random((N, nominal.d))
+    g_vals = g_of_points(points)
+    total_evals = N
+    quantile_idx = math.ceil(p0 * N) - 1
+    delta_sq, stats = [], []
+    lengths = None
+    level = 1
+    while True:
+        b = float(np.sort(g_vals)[quantile_idx])
+        converged = b <= 0.0
+        if converged:
+            b = 0.0
+            seed_mask = g_vals < 0.0
+        else:
+            seed_mask = g_vals <= b
+        p_level = float(seed_mask.mean())
+        gamma = 0.0
+        if lengths is not None:
+            gamma = chain_correlation_factor_loop(seed_mask.astype(float), lengths)
+        if p_level > 0.0:
+            delta_sq.append((1.0 - p_level) / (N * p_level) * (1.0 + gamma))
+        stats.append(
+            {
+                "threshold": b,
+                "p_level": p_level,
+                "gamma": gamma,
+                "failures": int(np.count_nonzero(g_vals < 0.0)),
+                "g_max": float(g_vals.max()),
+            }
+        )
+        if converged or level >= max_levels:
+            break
+        seeds_u, seeds_g = points[seed_mask], g_vals[seed_mask]
+        n_seeds = seeds_g.size
+        base, rem = divmod(N, n_seeds)
+        lengths = [base + 1 if c < rem else base for c in range(n_seeds)]
+        chains_u = [[u] for u in seeds_u]
+        chains_g = [[g] for g in seeds_g]
+        for t in range(1, lengths[0]):
+            active = [c for c in range(n_seeds) if lengths[c] > t]
+            new_u, new_g = _metropolis_move(
+                np.array([chains_u[c][-1] for c in active]),
+                np.array([chains_g[c][-1] for c in active]),
+                b,
+                PROPOSAL_WIDTH,
+                rng,
+                g_of_points,
+            )
+            for c, u, g in zip(active, new_u, new_g):
+                chains_u[c].append(u)
+                chains_g[c].append(g)
+        points = np.array([u for chain in chains_u for u in chain])
+        g_vals = np.array([g for chain in chains_g for g in chain])
+        total_evals += N - n_seeds
+        level += 1
+
+    p_fail = stats[-1]["failures"] / N
+    return SubsetResult(
+        estimate=p0 ** (level - 1) * p_fail,
+        levels=level,
+        total_model_evals=total_evals,
+        approx_cv=(
+            math.sqrt(math.fsum(delta_sq)) if converged and p_fail > 0.0 else math.inf
+        ),
+        converged=converged,
+        level_stats=stats,
+    )
 
 
 def gaussian_mixture_pdf_solve(gm, pts: np.ndarray) -> np.ndarray:

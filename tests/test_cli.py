@@ -16,6 +16,7 @@ from rarefuse.cli import (
     main,
     run_experiment,
 )
+from rarefuse.estimators import EstimatorResult, cv, rmse
 from rarefuse.models import get_benchmark
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -83,6 +84,7 @@ BAD_VALUES = [
     {"repetitions": 1.5},
     {"m": 2000.5},
     {"n_grid": [300.5]},
+    {"n_grid": [300, 300]},
     {"seed": 1.5},
     {"subset": {"N": 1000.5}},
     {"subset": {"max_levels": 2.5}},
@@ -104,6 +106,7 @@ BAD_VALUE_IDS = [
     "repetitions-1.5",
     "m-2000.5",
     "n-grid-300.5",
+    "n-grid-repeated",
     "seed-1.5",
     "subset-N-1000.5",
     "subset-max-levels-2.5",
@@ -282,6 +285,9 @@ class TestRunExperiment:
             header = next(csv.reader(fh))
         for col in ("samples", "samples_each_level", "levels", "estimate", "approx_cv"):
             assert col in header
+        for row in read_csv(Path(config.output_dir) / "subset.csv"):
+            assert int(row["samples"]) == 500 * int(row["levels"])
+            assert int(row["samples_each_level"]) == 500
 
     def test_subset_levels_recorded_per_repetition(self, tmp_path):
         config = small_config(
@@ -335,6 +341,30 @@ class TestRunExperiment:
             assert reps == hits[row["n"], row["estimator_id"]], row
             partial += 0 < reps < config.repetitions
         assert partial > 0
+
+    def test_estimate_rows_carry_rmse_and_cv(self, tmp_path):
+        # a zero estimate has no cv and writes nan; otherwise the row's rmse
+        # and cv are those of the estimator result it was written from
+        config = small_config(tmp_path, n_grid=[30])
+        run_experiment(config)
+        rows = read_csv(Path(config.output_dir) / "estimates.csv")
+        assert [(row["density_id"], row["kind"]) for row in rows] == config.repetitions * [
+            ("q1", "IS"), ("q2", "IS"), ("q3", "IS"), ("nominal", "MC"), ("q_ref", "IS")
+        ]
+        kinds = Counter()
+        for row in rows:
+            r = EstimatorResult(
+                float(row["estimate"]), int(row["n"]), float(row["sample_variance"]),
+                int(row["hits"]), row["density_id"], row["kind"],
+            )
+            assert float(row["rmse"]) == rmse(r)
+            if r.estimate > 0.0:
+                assert float(row["cv"]) == cv(r)
+                kinds["positive"] += 1
+            else:
+                assert row["cv"] == "nan"
+                kinds["zero"] += 1
+        assert kinds["positive"] > 0 and kinds["zero"] > 0
 
     def test_csv_floats_17_significant_digits(self, tmp_path):
         config = small_config(tmp_path)

@@ -6,14 +6,17 @@ from rarefuse.estimators import EstimatorResult
 from rarefuse.fusion import (
     CovarianceMatrix,
     SingularCovarianceError,
-    componentwise_weight_residual,
     dominance_criterion,
     fuse,
     optimal_weights,
     optimal_weights_diagonal,
 )
 
-from helpers_oracles import qp_bruteforce_weights, random_spd
+from helpers_oracles import (
+    componentwise_weight_residual,
+    qp_bruteforce_weights,
+    random_spd,
+)
 
 
 def result(estimate, n, sample_variance, density_id="q", hits=1, kind="IS"):
@@ -22,12 +25,12 @@ def result(estimate, n, sample_variance, density_id="q", hits=1, kind="IS"):
 
 class TestOptimalWeights:
     def test_equal_variances(self):
-        w, lam, v = optimal_weights(CovarianceMatrix.diagonal([1.0, 1.0]))
+        w, lam, v = optimal_weights(CovarianceMatrix(np.diag([1.0, 1.0])))
         np.testing.assert_allclose(w, [0.5, 0.5], atol=1e-14)
         assert v == pytest.approx(0.5, abs=1e-14)
 
     def test_inverse_variance(self):
-        w, lam, v = optimal_weights(CovarianceMatrix.diagonal([1.0, 4.0]))
+        w, lam, v = optimal_weights(CovarianceMatrix(np.diag([1.0, 4.0])))
         np.testing.assert_allclose(w, [0.8, 0.2], atol=1e-14)
         assert v == pytest.approx(0.8, abs=1e-14)
 
@@ -115,7 +118,7 @@ class TestDiagonalWeights:
         for _ in range(20):
             v = np.exp(rng.uniform(-3, 3, size=rng.integers(2, 7)))
             w_diag, var_diag = optimal_weights_diagonal(v)
-            w_kkt, _, var_kkt = optimal_weights(CovarianceMatrix.diagonal(v))
+            w_kkt, _, var_kkt = optimal_weights(CovarianceMatrix(np.diag(v)))
             np.testing.assert_allclose(w_diag, w_kkt, atol=1e-12)
             assert var_diag == pytest.approx(var_kkt, rel=1e-12)
 
@@ -155,20 +158,17 @@ class TestDiagonalWeights:
 
 class TestComponentwiseResidual:
     def test_inverse_variance_weights_have_zero_residual(self):
-        cov = CovarianceMatrix.diagonal([1.0, 4.0])
-        assert componentwise_weight_residual(cov, [0.8, 0.2]) <= 1e-12
+        assert componentwise_weight_residual(np.diag([1.0, 4.0]), [0.8, 0.2]) <= 1e-12
 
     def test_random_spd_weights_self_consistent(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
             sigma = random_spd(rng, int(rng.integers(2, 7)))
-            cov = CovarianceMatrix(sigma)
-            w, _, _ = optimal_weights(cov)
-            assert componentwise_weight_residual(cov, w) <= 1e-10
+            w, _, _ = optimal_weights(CovarianceMatrix(sigma))
+            assert componentwise_weight_residual(sigma, w) <= 1e-10
 
     def test_suboptimal_weights_flagged(self):
-        cov = CovarianceMatrix.diagonal([1.0, 1.0])
-        assert componentwise_weight_residual(cov, [1.0, 0.0]) == pytest.approx(0.5)
+        assert componentwise_weight_residual(np.diag([1.0, 1.0]), [1.0, 0.0]) == pytest.approx(0.5)
 
 
 class TestDominanceCriterion:

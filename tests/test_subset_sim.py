@@ -14,7 +14,7 @@ from rarefuse.subset_sim import (
     subset_simulation,
 )
 
-from helpers_oracles import chain_correlation_factor_loop
+from helpers_oracles import chain_correlation_factor_loop, subset_simulation_loop
 
 
 NO_G = np.full(1, np.nan)  # the current g of a single chain; never asserted on
@@ -189,23 +189,6 @@ class TestSubsetSimulation:
         with pytest.raises(ValueError):
             subset_simulation(b.high_fidelity, b.limit_state, b.nominal, 500, 1.5, 12, rng)
 
-    def test_csv_row_columns(self):
-        b = get_benchmark("arrhenius-2d")
-        res = subset_simulation(
-            b.high_fidelity, b.limit_state, b.nominal, 500, 0.1, 12,
-            np.random.default_rng(1),
-        )
-        row = res.csv_row()
-        assert row["samples"] == 500 * res.levels
-        assert row["samples_each_level"] == 500
-        assert set(row) == {
-            "samples",
-            "samples_each_level",
-            "levels",
-            "estimate",
-            "approx_cv",
-        }
-
     def test_gaussian_nominal_supported(self):
         b = make_linear_gaussian(beta=2.0)
         res = subset_simulation(
@@ -236,6 +219,31 @@ class TestSubsetSimulation:
         assert runs[0] == runs[1]
 
 
+    @pytest.mark.parametrize(
+        "name, N, p0, max_levels, seed, converged",
+        [
+            ("arrhenius-2d", 1000, 0.1, 12, 3, True),
+            ("arrhenius-2d", 500, 0.1, 2, 0, False),
+            ("arrhenius-2d", 1001, 0.13, 12, 4, True),  # p0 * N = 130.13
+            ("linear-gaussian", 1000, 0.1, 12, 1, True),
+            # stalls: from level 6 on every sample is a seed and b repeats
+            ("linear-gaussian", 700, 0.15, 12, 1, False),
+            ("linear-gaussian", 333, 0.17, 3, 2, False),  # p0 * N = 56.61
+        ],
+    )
+    def test_matches_flat_loop_reference(self, name, N, p0, max_levels, seed, converged):
+        b = get_benchmark(name)
+        runs = [
+            run(b.high_fidelity, b.limit_state, b.nominal, N, p0, max_levels,
+                np.random.default_rng(seed))
+            for run in (subset_simulation, subset_simulation_loop)
+        ]
+        assert runs[0].converged is converged
+        for attr in ("estimate", "levels", "total_model_evals", "approx_cv",
+                     "converged", "level_stats"):
+            assert getattr(runs[0], attr) == getattr(runs[1], attr), attr
+
+
 class TestChainKernel:
     def test_gamma_matches_loop_reference_exactly(self):
         rng = np.random.default_rng(11)
@@ -257,7 +265,11 @@ class TestChainKernel:
                 ind = (np.cumsum(flips) % 2).astype(float)
             if n // n_chains - 1 > min(lengths):
                 shorter_than_lag += 1
-            assert _chain_correlation_factor(ind, lengths) == (
+            # the same chains as rows of a grid, zero past each chain's end
+            filled = np.arange(max(lengths)) < np.array(lengths)[:, None]
+            ind_grid = np.zeros(filled.shape)
+            ind_grid[filled] = ind
+            assert _chain_correlation_factor(ind_grid, filled) == (
                 chain_correlation_factor_loop(ind, lengths)
             )
         assert shorter_than_lag > 0
@@ -275,16 +287,16 @@ class TestChainKernel:
             call_sizes.append(u.shape[0])
             return u.sum(axis=1)
 
-        points, g_vals, evals, lengths = _grow_chains(
+        grid, g_grid, filled = _grow_chains(
             seeds, seeds.sum(axis=1), threshold, n_total, width, rng, g_of_points
         )
         # 103 = 10 * 10 + 3: all ten chains take nine moves, the first three one more
-        assert lengths == [11] * 3 + [10] * 7
+        assert filled.sum(axis=1).tolist() == [11] * 3 + [10] * 7
         assert call_sizes == [10] * 9 + [3]
-        assert evals == n_total - n_seeds == sum(call_sizes)
+        assert n_total - n_seeds == sum(call_sizes)
+        points, g_vals = grid[filled], g_grid[filled]
         assert points.shape == (n_total, 2)
         np.testing.assert_array_equal(g_vals, points.sum(axis=1))
         assert np.all(g_vals <= threshold)
         assert np.all((points >= 0.0) & (points <= 1.0))
-        starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
-        np.testing.assert_array_equal(points[starts], seeds)
+        np.testing.assert_array_equal(grid[:, 0], seeds)
