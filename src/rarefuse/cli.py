@@ -71,6 +71,33 @@ _SUBSET_COLUMNS = [
 ]
 
 
+def _estimate_row(res) -> dict:
+    """The estimates.csv columns of one estimator result; a zero estimate has cv nan."""
+    return {
+        "density_id": res.density_id,
+        "kind": res.kind,
+        "n": res.n,
+        "estimate": res.estimate,
+        "sample_variance": res.sample_variance,
+        "hits": res.hits,
+        "rmse": rmse(res),
+        "cv": cv(res) if res.estimate > 0.0 else float("nan"),
+    }
+
+
+def _subset_row(result, n_each_level: int) -> dict:
+    """The subset.csv columns of one subset-simulation run, past the run columns."""
+    return {
+        "samples": n_each_level * result.levels,
+        "samples_each_level": n_each_level,
+        "levels": result.levels,
+        "estimate": result.estimate,
+        "approx_cv": result.approx_cv,
+        "converged": result.converged,
+        "model_evals": result.total_model_evals,
+    }
+
+
 class ConfigError(ValueError):
     """Invalid experiment configuration."""
 
@@ -301,17 +328,7 @@ def _estimate_phase(config: ExperimentConfig, benchmark: Benchmark, report: Camp
                 "repetition": rep,
             }
             for res in results:
-                row = {
-                    **base,
-                    "density_id": res.density_id,
-                    "kind": res.kind,
-                    "n": res.n,
-                    "estimate": res.estimate,
-                    "sample_variance": res.sample_variance,
-                    "hits": res.hits,
-                    "rmse": rmse(res),
-                    "cv": cv(res) if res.estimate > 0.0 else float("nan"),
-                }
+                row = {**base, **_estimate_row(res)}
                 report.estimator_rows.append(row)
                 per_rep[res.density_id].append(row)
 
@@ -369,13 +386,7 @@ def _subset_phase(config: ExperimentConfig, benchmark: Benchmark, report: Campai
                 "config_hash": report.config_hash,
                 "seed": config.seed,
                 "repetition": rep,
-                "samples": config.subset.N * result.levels,
-                "samples_each_level": config.subset.N,
-                "levels": result.levels,
-                "estimate": result.estimate,
-                "approx_cv": result.approx_cv,
-                "converged": result.converged,
-                "model_evals": result.total_model_evals,
+                **_subset_row(result, config.subset.N),
             }
         )
         report.subset_levels.append(result.level_stats)

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import ndtr
 
 import rarefuse.estimators as est
+from rarefuse.cli import _estimate_row
 from rarefuse.densities import GaussianMixture, UniformBox, fit_gaussian
 from rarefuse.estimators import (
     BrokenBiasingDensityError,
@@ -486,3 +487,16 @@ class TestErrorMeasures:
         for bad in (0.0, 1.0, -0.5, 2.0):
             with pytest.raises(ValueError):
                 theoretical_mc_cv(bad, 100)
+
+
+class TestCsvRow:
+    def test_row_fields(self):
+        r = est.EstimatorResult(0.5, 100, 0.25, 50, "q2", "IS")
+        row = _estimate_row(r)
+        assert row["density_id"] == "q2"
+        assert row["kind"] == "IS"
+        assert row["cv"] == pytest.approx(0.1)
+
+    def test_zero_estimate_writes_nan_cv(self):
+        r = est.EstimatorResult(0.0, 100, 0.0, 0, "q", "IS")
+        assert math.isnan(_estimate_row(r)["cv"])

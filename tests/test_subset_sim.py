@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
+from rarefuse.cli import _subset_row
 from rarefuse.models import get_benchmark, make_linear_gaussian
 from rarefuse.models import oracle_failure_probability
 from rarefuse.subset_sim import (
@@ -188,6 +189,25 @@ class TestSubsetSimulation:
             subset_simulation(b.high_fidelity, b.limit_state, b.nominal, 50, 0.1, 12, rng)
         with pytest.raises(ValueError):
             subset_simulation(b.high_fidelity, b.limit_state, b.nominal, 500, 1.5, 12, rng)
+
+    def test_csv_row_columns(self):
+        b = get_benchmark("arrhenius-2d")
+        res = subset_simulation(
+            b.high_fidelity, b.limit_state, b.nominal, 500, 0.1, 12,
+            np.random.default_rng(1),
+        )
+        row = _subset_row(res, 500)
+        assert row["samples"] == 500 * res.levels
+        assert row["samples_each_level"] == 500
+        assert set(row) == {
+            "samples",
+            "samples_each_level",
+            "levels",
+            "estimate",
+            "approx_cv",
+            "converged",
+            "model_evals",
+        }
 
     def test_gaussian_nominal_supported(self):
         b = make_linear_gaussian(beta=2.0)
