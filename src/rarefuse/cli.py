@@ -228,8 +228,16 @@ class CampaignReport:
 
 
 def _stream(seed: int, *key: int) -> np.random.Generator:
-    """Independent generator for one unit of work, stable under reordering."""
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+    """Independent generator for one unit of work, stable under reordering.
+
+    The same stream as ``default_rng(SeedSequence(seed, spawn_key=key))``:
+    the entropy that form assembles (the seed's 32-bit words, least
+    significant first, zero-padded to the pool size 4, then the key words)
+    is passed as one uint32 array, which skips its word-by-word conversion.
+    """
+    words = [(seed >> shift) & 0xFFFFFFFF for shift in range(0, max(128, seed.bit_length()), 32)]
+    entropy = np.array(words + list(key), dtype=np.uint32)
+    return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
 def _split_budget(n: int, k: int) -> list[int]:
@@ -257,7 +265,7 @@ def _write_csv(path: Path, header: list[str], rows: list[dict]) -> None:
 
 
 def _nan_mean(values: list[float]) -> float:
-    finite = [v for v in values if np.isfinite(v)]
+    finite = [v for v in values if math.isfinite(v)]
     return float(np.mean(finite)) if finite else float("nan")
 
 
@@ -351,7 +359,7 @@ def _estimate_phase(config: ExperimentConfig, benchmark: Benchmark, report: Camp
                 "n": n_total,
                 "estimator_id": e,
                 **{s: _nan_mean([r[s] for r in per_rep[e]]) for s in _STATS},
-                "cv_reps": sum(1 for r in per_rep[e] if np.isfinite(r["cv"])),
+                "cv_reps": sum(1 for r in per_rep[e] if math.isfinite(r["cv"])),
                 "flag": "",
             }
             for e in estimator_ids

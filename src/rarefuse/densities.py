@@ -64,10 +64,14 @@ class UniformBox:
             raise ValueError("lower and upper must be 1-d vectors of equal length")
         if not np.all(lower < upper):
             raise ValueError("lower[i] < upper[i] must hold for every coordinate")
+        with np.errstate(over="ignore"):  # refused just below
+            widths = upper - lower
+        if not np.isfinite(widths).all():
+            raise ValueError("every width upper[i] - lower[i] must be finite")
         self.lower = lower
         self.upper = upper
         self.d = lower.shape[0]
-        self.volume = float(np.prod(upper - lower))
+        self.volume = float(np.prod(widths))
         self._pdf_value = 1.0 / self.volume
         self.lower.setflags(write=False)
         self.upper.setflags(write=False)
@@ -75,14 +79,19 @@ class UniformBox:
     def pdf(self, z) -> np.ndarray:
         """Density values at a batch of points (n, d)."""
         pts = _as_points(z, self.d)
-        inside = np.all((pts >= self.lower) & (pts <= self.upper), axis=1)
-        return np.where(inside, self._pdf_value, 0.0)
+        inside = ((pts >= self.lower) & (pts <= self.upper)).all(axis=1)
+        return inside * self._pdf_value
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """Draw `count` i.i.d. points, shape (count, d)."""
+        """Draw `count` i.i.d. points, shape (count, d).
+
+        The same values and stream position as
+        ``rng.uniform(lower, upper, (count, d))``, which also computes
+        ``lower + (upper - lower) * u`` per draw.
+        """
         if count < 0:
             raise ValueError("count must be nonnegative")
-        return rng.uniform(self.lower, self.upper, size=(count, self.d))
+        return self.from_unit_cube(rng.random((count, self.d)))
 
     def from_unit_cube(self, u: np.ndarray) -> np.ndarray:
         """Map unit-cube points (n, d) affinely onto the box."""

@@ -8,7 +8,10 @@ quantity consumed by the fusion stage.
 Weighted indicators are summed exactly and rounded once (the result is
 bit-identical to ``math.fsum``), so results do not depend on the order in
 which sample chunks are reduced -- partitioning the work across any number
-of workers reproduces the same floating-point result.
+of workers reproduces the same floating-point result.  Importance sampling
+keeps only the weights of the failing draws: the mean sums those, and the
+variance sum adds the ``n - hits`` zero weights exactly as that many copies
+of ``estimate**2``.
 """
 
 from __future__ import annotations
@@ -77,23 +80,28 @@ class EstimatorResult:
         return self.sample_variance / self.n
 
 
-def _exact_sum(values: np.ndarray) -> float:
-    """Correctly rounded sum of a 1-d float array, bit-identical to
-    ``math.fsum`` (an exact zero sum is +0.0).
+def _exact_sum(values: np.ndarray, repeat: int = 0, value: float = 0.0) -> float:
+    """Correctly rounded sum of a 1-d float array plus ``repeat`` copies of
+    ``value``, bit-identical to ``math.fsum`` of that list (an exact zero sum
+    is +0.0).
 
     Each value is m * 2**e with m * 2**53 an integer below 2**53 in
     magnitude (subnormals included).  The integer is split into a high and
     a low half and each half is summed per exponent with ``np.bincount``;
-    those sums are exact integers.  They are combined as Python ints, and
-    one int/int division rounds the exact total once.  Short arrays go to
-    ``math.fsum`` directly, which gives the same bits faster.  Non-finite
-    values raise ``ValueError``.
+    those sums are exact integers.  They are combined as Python ints with
+    the repeated value's exact integer multiple, and one int/int division
+    rounds the exact total once.  Short lists go to ``math.fsum`` directly,
+    which gives the same bits faster.  Non-finite values, the repeated one
+    included, raise ``ValueError``.
     """
-    if not np.isfinite(values).all():
+    if not np.isfinite(values).all() or (repeat and not math.isfinite(value)):
         raise ValueError("exact sum needs finite values")
-    if values.shape[0] <= _SUM_SMALL:
-        return math.fsum(values)
-    total = 0  # the exact sum so far, times 2**(1074 + 53)
+    if values.shape[0] + repeat <= _SUM_SMALL:
+        return math.fsum(values.tolist() + [value] * repeat)
+    # the exact sum so far, times 2**(1074 + 53); den is a power of two
+    # <= 2**1074, so the floor division is exact
+    num, den = value.as_integer_ratio()
+    total = repeat * num * (1 << (1074 + 53)) // den
     for start in range(0, values.shape[0], _SUM_BLOCK):
         mant, exps = np.frexp(values[start : start + _SUM_BLOCK])
         mant *= 2.0**53
@@ -166,15 +174,14 @@ def importance_sampling_estimate(
             "biasing density must have full support or equal the nominal density"
         )
 
-    weights = np.zeros(n)
-    hits = 0
+    hit_chunks = []  # p/q at the failing draws of each chunk; every other weight is 0
     evals = 0
     done = 0
     while done < n:
         batch = min(_CHUNK, n - done)
         pts = biasing.sample(rng, batch)
         q_vals = biasing.pdf(pts)
-        if np.any(q_vals <= 0.0):
+        if (q_vals <= 0.0).any():
             raise BrokenBiasingDensityError(
                 "biasing density evaluated to 0 at one of its own samples"
             )
@@ -188,25 +195,31 @@ def importance_sampling_estimate(
             failed = np.zeros(batch, dtype=bool)
             if n_inside:
                 failed[inside] = ls.evaluate(model.evaluate(pts[inside])) < 0.0
-        at = np.flatnonzero(failed)
+        done += batch
+        if not failed.any():
+            continue
         with np.errstate(over="ignore", invalid="ignore"):  # refused just below
-            ratio = p_vals[at] / q_vals[at]
+            ratio = p_vals[failed] / q_vals[failed]
         bad = int(np.count_nonzero(~np.isfinite(ratio)))
         if bad:
             raise BrokenBiasingDensityError(
-                f"{bad} non-finite importance weight(s) p/q out of {at.size} "
+                f"{bad} non-finite importance weight(s) p/q out of {ratio.size} "
                 "failure samples"
             )
-        weights[done + at] = ratio
-        hits += at.size
-        done += batch
+        hit_chunks.append(ratio)
 
-    estimate = _exact_sum(weights) / n
-    if weights.max() == weights.min():
-        # all weighted indicators identical: zero scatter by definition
+    hit_weights = np.concatenate(hit_chunks) if hit_chunks else np.zeros(0)
+    hits = hit_weights.size
+    estimate = _exact_sum(hit_weights) / n
+    low, high = (hit_weights.min(), hit_weights.max()) if hits else (0.0, 0.0)
+    if low == high and (hits == n or high == 0.0):
+        # all n weighted indicators identical: zero scatter by definition
         sample_variance = 0.0
     else:
-        sample_variance = _exact_sum((weights - estimate) ** 2) / (n - 1.0)
+        # each of the n - hits zero weights adds (0 - estimate)**2
+        sample_variance = _exact_sum(
+            (hit_weights - estimate) ** 2, n - hits, estimate * estimate
+        ) / (n - 1.0)
     return EstimatorResult(estimate, n, sample_variance, hits, density_id, "IS", evals)
 
 

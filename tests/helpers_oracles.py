@@ -214,7 +214,8 @@ def gaussian_mixture_pdf_solve(gm, pts: np.ndarray) -> np.ndarray:
 
 def importance_sampling_loop(model, ls, nominal, biasing, n, rng, chunk):
     """Importance-sampling estimate by the plain chunked loop: both pdfs on
-    every draw, weights ``ind * p / q`` and ``math.fsum`` for both sums.
+    every draw, a dense array of all n weights ``ind * p / q`` (zero at
+    every safe draw) and ``math.fsum`` over all n values for both sums.
 
     Returns (estimate, sample_variance, hits, model_evals).
     """

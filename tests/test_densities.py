@@ -12,6 +12,7 @@ from rarefuse.densities import (
     density_from_dict,
     fit_gaussian,
 )
+from rarefuse.models import get_benchmark
 
 from helpers_oracles import (
     gaussian_mixture_pdf_solve,
@@ -43,6 +44,30 @@ class TestUniformBoxPdf:
     def test_invalid_bounds(self):
         with pytest.raises(ValueError):
             UniformBox([0, 2], [2, 1])
+
+    @pytest.mark.parametrize(
+        "lower, upper", [([-math.inf, 0.0], [0.0, 1.0]), ([0.0, -1e308], [1.0, 1e308])]
+    )
+    def test_infinite_width_rejected(self, lower, upper):
+        # sample would draw inf or nan, where rng.uniform refused the range
+        with pytest.raises(ValueError, match="finite"):
+            UniformBox(lower, upper)
+
+    def test_matches_where_form_inside_outside_and_on_the_edges(self):
+        box = UniformBox([-1.0, 0.0, 2.0], [1.0, 0.5, 3.0])
+        rng = np.random.default_rng(4)
+        pts = rng.uniform(-1.5, 3.5, (400, 3))
+        pts[:100] = box.sample(rng, 100)
+        pts[100] = box.lower
+        pts[101] = box.upper
+        pts[102:110, 0] = box.upper[0]  # on a face
+        pts[110:120] = np.nextafter(box.upper, math.inf)  # just outside
+        pts[120:130] = np.nextafter(box.lower, -math.inf)
+        pts[130, 1] = math.nan
+        inside = np.all((pts >= box.lower) & (pts <= box.upper), axis=1)
+        expected = np.where(inside, 1.0 / box.volume, 0.0)
+        assert 100 < inside.sum() < 300
+        assert box.pdf(pts).tobytes() == expected.tobytes()
 
 
 class TestGaussianMixturePdf:
@@ -126,6 +151,21 @@ class TestSampling:
         centers = 0.5 * (box.lower + box.upper)
         bound = 4.0 * widths / math.sqrt(12 * 100_000)
         assert np.all(np.abs(pts.mean(axis=0) - centers) < bound)
+
+    @pytest.mark.parametrize("count", [0, 1, 75, 1000])
+    @pytest.mark.parametrize(
+        "box",
+        [get_benchmark("arrhenius-2d").nominal, UniformBox([-3.0, 0.5, -1e-3], [2.0, 7.0, 1e-3])],
+        ids=["arrhenius-2d", "3d"],
+    )
+    def test_uniform_sample_matches_rng_uniform(self, box, count):
+        # bit for bit, and the generator is left at the same stream position
+        a, b = np.random.default_rng(count), np.random.default_rng(count)
+        got = box.sample(a, count)
+        expected = b.uniform(box.lower, box.upper, size=(count, box.d))
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+        assert a.random() == b.random()
 
     def test_same_seed_identical(self):
         gm = GaussianMixture([(1.0, [3.0, 3.0], [[0.5, 0.2], [0.2, 1.0]])])

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import ndtr
 
 import rarefuse.estimators as est
-from rarefuse.cli import _estimate_row
+from rarefuse.cli import _estimate_row, _stream
 from rarefuse.densities import GaussianMixture, UniformBox, fit_gaussian
 from rarefuse.estimators import (
     BrokenBiasingDensityError,
@@ -18,6 +18,7 @@ from rarefuse.estimators import (
     rmse,
     theoretical_mc_cv,
 )
+from rarefuse.mfis import build_biasing_density
 from rarefuse.models import LimitState, Model, get_benchmark, make_linear_gaussian
 from rarefuse.subset_sim import subset_simulation
 
@@ -39,6 +40,30 @@ def never_failing():
     model = Model(lambda pts: pts.sum(axis=1), 2, 1)
     ls = LimitState(lambda y: np.ones(y.shape[0]))
     return model, ls
+
+
+def failing_where_first_coordinate_positive():
+    model = Model(lambda pts: pts[:, 0], 2, 1)
+    ls = LimitState(lambda y: -y[:, 0])
+    return model, ls
+
+
+class Flat:
+    """Full-support density on R^2 that draws standard normals and reports
+    the pdf ``value(points)``, or a constant."""
+
+    full_support = True
+
+    def __init__(self, value):
+        self.value = value
+
+    def sample(self, rng, count):
+        return rng.standard_normal((count, 2))
+
+    def pdf(self, z):
+        if callable(self.value):
+            return self.value(z)
+        return np.full(np.shape(z)[0], self.value)
 
 
 class TestMonteCarlo:
@@ -255,18 +280,6 @@ class TestImportanceSampling:
 class TestNonFiniteWeights:
     def test_overflowing_likelihood_ratio_rejected(self):
         # p/q = 1e300 / 1e-300 overflows to inf at every failing draw
-        class Flat:
-            full_support = True
-
-            def __init__(self, value):
-                self.value = value
-
-            def sample(self, rng, count):
-                return rng.standard_normal((count, 2))
-
-            def pdf(self, z):
-                return np.full(np.shape(z)[0], self.value)
-
         model, ls = always_failing()
         with pytest.raises(BrokenBiasingDensityError, match=r"500 non-finite importance weight"):
             importance_sampling_estimate(
@@ -331,22 +344,44 @@ class TestExactSum:
         with pytest.raises(ValueError, match="finite"):
             est._exact_sum(x)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(_finite_doubles, max_size=40),
+        st.integers(0, 2000),
+        _finite_doubles,
+        st.integers(0, 20),
+    )
+    def test_repeated_value_matches_fsum_of_the_list(self, values, repeat, value, small):
+        x = np.array(values, dtype=float)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(est, "_SUM_SMALL", small)
+            assert same_bits(est._exact_sum(x, repeat, value), math.fsum(values + [value] * repeat))
+
+    @pytest.mark.parametrize("repeat", [1, 2000])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_repeated_value_refused(self, repeat, bad):
+        with pytest.raises(ValueError, match="finite"):
+            est._exact_sum(np.ones(10), repeat, bad)
+
 
 class TestAgainstReferenceLoop:
-    """Bit for bit against the plain loop: two pdf calls, ind*p/q, fsum."""
+    """Bit for bit against the plain loop: two pdf calls, a dense array of
+    all n weights ind*p/q, fsum."""
 
     CHUNK = 1000
     N = 2500
 
-    def check(self, monkeypatch, model, ls, nominal, biasing, seed):
-        monkeypatch.setattr(est, "_CHUNK", self.CHUNK)
+    def check(self, monkeypatch, model, ls, nominal, biasing, seed, n=N, chunk=CHUNK):
+        monkeypatch.setattr(est, "_CHUNK", chunk)
         r = importance_sampling_estimate(
-            model, ls, nominal, biasing, self.N, np.random.default_rng(seed)
+            model, ls, nominal, biasing, n, np.random.default_rng(seed)
         )
-        ref = importance_sampling_loop(
-            model, ls, nominal, biasing, self.N, np.random.default_rng(seed), self.CHUNK
+        estimate, sample_variance, hits, evals = importance_sampling_loop(
+            model, ls, nominal, biasing, n, np.random.default_rng(seed), chunk
         )
-        assert (r.estimate, r.sample_variance, r.hits, r.model_evals) == ref
+        assert same_bits(r.estimate, estimate)
+        assert same_bits(r.sample_variance, sample_variance)
+        assert (r.hits, r.model_evals) == (hits, evals)
         return r
 
     def test_gaussian_nominal_fitted_biasing(self, monkeypatch):
@@ -389,6 +424,81 @@ class TestAgainstReferenceLoop:
         )
         assert (r.estimate, r.sample_variance, r.hits, r.model_evals) == ref
         assert r.hits > 0
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        # per benchmark: a density from each model, as the runner builds
+        # them, and the nominal itself
+        out = []
+        for name in ("linear-gaussian-2.5", "arrhenius-2d"):
+            b = get_benchmark(name)
+            for k, model in enumerate([*b.surrogates, b.high_fidelity]):
+                build = build_biasing_density(
+                    model, b.limit_state, b.nominal, 20000, _stream(1, 1, k)
+                )
+                out.append((b, build.density))
+            out.append((b, b.nominal))
+        return out
+
+    @pytest.mark.parametrize("chunk", [37, est._CHUNK])
+    def test_runner_densities_over_many_seeds(self, monkeypatch, cases, chunk):
+        hit_counts = []
+        for b, q in cases:
+            for seed in range(12):
+                n = (30, 75, est._SUM_SMALL, est._SUM_SMALL + 1)[seed % 4]
+                r = self.check(
+                    monkeypatch, b.high_fidelity, b.limit_state, b.nominal, q, seed, n, chunk
+                )
+                hit_counts.append((r.hits, r.n))
+        assert any(h == 0 for h, _ in hit_counts)
+        assert any(0 < h < size for h, size in hit_counts)
+
+    @pytest.mark.parametrize("n", [2, est._SUM_SMALL, est._SUM_SMALL + 1, 3000])
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "no hits",
+            "all hits, weight 1",
+            "all hits, equal weights",
+            "all hit weights underflow",
+            "some hit weights underflow",
+            "half hits, weight 1",
+        ],
+    )
+    def test_edge_cases(self, monkeypatch, case, n):
+        box = UniformBox([-1.0, -1.0], [1.0, 1.0])
+        half = failing_where_first_coordinate_positive()
+        model, ls, nominal, biasing = {
+            "no hits": (*never_failing(), box, box),
+            "all hits, weight 1": (*always_failing(), box, box),
+            "all hits, equal weights": (*always_failing(), Flat(2.0), Flat(4.0)),
+            # p/q = 1e-300 / 1e300 rounds to 0 at every hit
+            "all hit weights underflow": (*always_failing(), Flat(1e-300), Flat(1e300)),
+            # p/q is 1e-400, rounded to 0, or 5e-101
+            "some hit weights underflow": (
+                *half,
+                Flat(lambda z: np.where(z[:, 1] > 0.0, 1e-300, 0.5)),
+                Flat(1e100),
+            ),
+            "half hits, weight 1": (*half, box, box),
+        }[case]
+        r = self.check(monkeypatch, model, ls, nominal, biasing, n, n)
+        if case.startswith(("no hits", "all hit")):
+            assert r.sample_variance == 0.0
+        else:
+            assert r.sample_variance > 0.0 or r.hits in (0, n)
+
+
+class TestStream:
+    """``_stream`` passes the entropy the spawn-key form assembles."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**128 + 5])
+    @pytest.mark.parametrize(
+        "key", [(), (1, 0), (1, 1000), (3, 7), (2, 0, 0, 0), (2, 3, 299, 2), (2, 3, 299, 901)]
+    )
+    def test_matches_spawn_key_form(self, seed, key):
+        expected = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+        assert _stream(seed, *key).bit_generator.state == expected.bit_generator.state
 
 
 class TestNonFiniteLimitState:
