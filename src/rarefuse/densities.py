@@ -150,13 +150,17 @@ class GaussianMixture:
         self.covariance = cov
         # The Cholesky factor doubles as the positive-definiteness check.  It
         # draws samples (z = mean + normals @ L.T); its inverse, transposed,
-        # whitens points (y = (z - mean) @ inv(L).T).
+        # whitens points (y = (z - mean) @ inv(L).T).  Both transposes are
+        # stored C-contiguous: the (n, d) @ (d, d) product runs about 4x
+        # faster than through a transposed view, with the same bits, and a
+        # one-row product gives the bits of that row in a batch (through
+        # the view BLAS took another path for it).
         try:
             L = np.linalg.cholesky(cov)
         except np.linalg.LinAlgError:
             raise ValueError("covariance must be positive definite") from None
-        self._chol = L
-        self._whiten = np.linalg.inv(L).T
+        self._chol_t = np.ascontiguousarray(L.T)
+        self._whiten = np.ascontiguousarray(np.linalg.inv(L).T)
         log_det = 2.0 * float(np.sum(np.log(np.diag(L))))
         self._log_norm = -0.5 * (d * _LOG_2PI + log_det)
         self.mean.setflags(write=False)
@@ -165,14 +169,17 @@ class GaussianMixture:
     def pdf(self, z) -> np.ndarray:
         """Density values at a batch of points (n, d)."""
         y = (_as_points(z, self.d) - self.mean) @ self._whiten
-        quad = np.einsum("ij,ij->i", y, y)
-        return np.exp(self._log_norm - 0.5 * quad)
+        # exp(log_norm - 0.5 * quad), formed in the array einsum returns
+        out = np.einsum("ij,ij->i", y, y)
+        out *= -0.5
+        out += self._log_norm
+        return np.exp(out, out=out)
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """Draw `count` points through the Cholesky factor, shape (count, d)."""
         if count < 0:
             raise ValueError("count must be nonnegative")
-        out = rng.standard_normal((count, self.d)) @ self._chol.T
+        out = rng.standard_normal((count, self.d)) @ self._chol_t
         out += self.mean
         return out
 
@@ -180,7 +187,7 @@ class GaussianMixture:
         """Map unit-cube points (n, d) through the coordinate-wise normal
         quantile, then the Cholesky factor."""
         z = ndtri(np.clip(u, 1e-15, 1.0 - 1e-15))
-        return self.mean + z @ self._chol.T
+        return self.mean + z @ self._chol_t
 
     def to_dict(self) -> dict:
         return {

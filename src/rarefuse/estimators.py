@@ -9,9 +9,13 @@ Weighted indicators are summed exactly and rounded once (the result is
 bit-identical to ``math.fsum``), so results do not depend on the order in
 which sample chunks are reduced -- partitioning the work across any number
 of workers reproduces the same floating-point result.  Importance sampling
-keeps only the weights of the failing draws: the mean sums those, and the
-variance sum adds the ``n - hits`` zero weights exactly as that many copies
-of ``estimate**2``.
+keeps only the weights of the failing draws, one array per chunk: the mean
+sums those arrays as they are, and the variance sum squares their
+deviations one block at a time and adds the ``n - hits`` zero weights
+exactly as that many copies of ``estimate**2``.  Draws are taken and
+evaluated ``_CHUNK`` at a time (``mfis`` builds densities the same way), so
+the transient memory of a call is bounded by the chunk plus the hit
+weights, not by ``n``.
 """
 
 from __future__ import annotations
@@ -34,14 +38,19 @@ __all__ = [
     "BrokenBiasingDensityError",
 ]
 
-# Evaluation proceeds in fixed-size chunks; exact summation makes the result
-# independent of the chunking, so this only bounds peak memory.
+# Points drawn, evaluated and dropped together by the estimators and by
+# density builds.  It bounds their transient memory (a few arrays of this
+# many points) and changes no result: draws come off the generator in the
+# same order, each point is evaluated on its own, and sums are exact.
 _CHUNK = 1 << 16
 
-# Values per block of the exact-sum kernel.  Mantissas are split into
-# halves below 2**27, so a per-exponent sum over one block stays below
-# 2**53 and every partial sum is an exactly representable integer.
-_SUM_BLOCK = 1 << 26
+# Values per block of the exact-sum kernel.  The kernel's temporaries are a
+# few arrays of this length, so 2**16 keeps them in cache (about 3x faster
+# than one pass over 500k values).  The block must stay <= 2**26: mantissas
+# are split into halves below 2**27, so a per-exponent sum over one block
+# stays below 2**53 and every partial sum is an exactly representable
+# integer.
+_SUM_BLOCK = 1 << 16
 # At or below this length math.fsum is faster than the kernel.
 _SUM_SMALL = 512
 
@@ -80,38 +89,60 @@ class EstimatorResult:
         return self.sample_variance / self.n
 
 
-def _exact_sum(values: np.ndarray, repeat: int = 0, value: float = 0.0) -> float:
-    """Correctly rounded sum of a 1-d float array plus ``repeat`` copies of
-    ``value``, bit-identical to ``math.fsum`` of that list (an exact zero sum
-    is +0.0).
+def _batches(n: int):
+    """Sizes of the successive chunks that cover ``n`` points, each at most
+    ``_CHUNK`` (read when the first size is taken)."""
+    chunk = _CHUNK
+    for start in range(0, n, chunk):
+        yield min(chunk, n - start)
+
+
+def _exact_sum(chunks, repeat: int = 0, value: float = 0.0, center=None) -> float:
+    """Correctly rounded sum of the values in a list of 1-d float arrays plus
+    ``repeat`` copies of ``value``, bit-identical to ``math.fsum`` of the
+    concatenated values and the copies (an exact zero sum is +0.0).  With
+    ``center``, each array value x counts as ``(x - center) ** 2``, formed
+    one block at a time, so no squared copy of the arrays is ever held.
 
     Each value is m * 2**e with m * 2**53 an integer below 2**53 in
-    magnitude (subnormals included).  The integer is split into a high and
-    a low half and each half is summed per exponent with ``np.bincount``;
-    those sums are exact integers.  They are combined as Python ints with
-    the repeated value's exact integer multiple, and one int/int division
-    rounds the exact total once.  Short lists go to ``math.fsum`` directly,
-    which gives the same bits faster.  Non-finite values, the repeated one
-    included, raise ``ValueError``.
+    magnitude (subnormals included).  The arrays are cut into blocks of at
+    most ``_SUM_BLOCK`` values; in each block the integer is split into a
+    high and a low half and each half is summed per exponent with
+    ``np.bincount``; those sums are exact integers.  They are combined as
+    Python ints with the repeated value's exact integer multiple, and one
+    int/int division rounds the exact total once.  Short lists go to
+    ``math.fsum`` directly, which gives the same bits faster.  Non-finite
+    values, the repeated one included, raise ``ValueError``.
     """
-    if not np.isfinite(values).all() or (repeat and not math.isfinite(value)):
+    if repeat and not math.isfinite(value):
         raise ValueError("exact sum needs finite values")
-    if values.shape[0] + repeat <= _SUM_SMALL:
+    if sum(c.shape[0] for c in chunks) + repeat <= _SUM_SMALL:
+        values = np.concatenate([np.zeros(0), *chunks])
+        if center is not None:
+            values = (values - center) ** 2
+        if not np.isfinite(values).all():
+            raise ValueError("exact sum needs finite values")
         return math.fsum(values.tolist() + [value] * repeat)
     # the exact sum so far, times 2**(1074 + 53); den is a power of two
     # <= 2**1074, so the floor division is exact
     num, den = value.as_integer_ratio()
     total = repeat * num * (1 << (1074 + 53)) // den
-    for start in range(0, values.shape[0], _SUM_BLOCK):
-        mant, exps = np.frexp(values[start : start + _SUM_BLOCK])
-        mant *= 2.0**53
-        high = np.trunc(mant * 2.0**-26)
-        mant -= high * 2.0**26
-        exps += 1074  # frexp exponents of finite doubles are >= -1073
-        high_sums = np.bincount(exps, weights=high)
-        low_sums = np.bincount(exps, weights=mant)
-        for k in np.flatnonzero((high_sums != 0.0) | (low_sums != 0.0)).tolist():
-            total += ((int(high_sums[k]) << 26) + int(low_sums[k])) << k
+    for values in chunks:
+        for start in range(0, values.shape[0], _SUM_BLOCK):
+            block = values[start : start + _SUM_BLOCK]
+            if center is not None:
+                block = (block - center) ** 2
+            if not np.isfinite(block).all():
+                raise ValueError("exact sum needs finite values")
+            mant, exps = np.frexp(block)
+            mant *= 2.0**53
+            high = np.trunc(mant * 2.0**-26)
+            mant -= high * 2.0**26
+            exps += 1074  # frexp exponents of finite doubles are >= -1073
+            high_sums = np.bincount(exps, weights=high)
+            low_sums = np.bincount(exps, weights=mant)
+            for k in np.flatnonzero((high_sums != 0.0) | (low_sums != 0.0)).tolist():
+                total += ((int(high_sums[k]) << 26) + int(low_sums[k])) << k
     return total / (1 << (1074 + 53))  # int / int true division rounds correctly
 
 
@@ -127,13 +158,9 @@ def monte_carlo_estimate(
     if n < 1:
         raise ValueError("n must be >= 1")
     hits = 0
-    done = 0
-    while done < n:
-        batch = min(_CHUNK, n - done)
-        pts = nominal.sample(rng, batch)
-        g = ls.evaluate(model.evaluate(pts))
+    for batch in _batches(n):
+        g = ls.evaluate(model.evaluate(nominal.sample(rng, batch)))
         hits += int((g < 0.0).sum())
-        done += batch
     p_hat = hits / n
     if n == 1:
         sample_variance = 0.0
@@ -176,9 +203,7 @@ def importance_sampling_estimate(
 
     hit_chunks = []  # p/q at the failing draws of each chunk; every other weight is 0
     evals = 0
-    done = 0
-    while done < n:
-        batch = min(_CHUNK, n - done)
+    for batch in _batches(n):
         pts = biasing.sample(rng, batch)
         q_vals = biasing.pdf(pts)
         if (q_vals <= 0.0).any():
@@ -195,7 +220,6 @@ def importance_sampling_estimate(
             failed = np.zeros(batch, dtype=bool)
             if n_inside:
                 failed[inside] = ls.evaluate(model.evaluate(pts[inside])) < 0.0
-        done += batch
         if not failed.any():
             continue
         with np.errstate(over="ignore", invalid="ignore"):  # refused just below
@@ -208,17 +232,18 @@ def importance_sampling_estimate(
             )
         hit_chunks.append(ratio)
 
-    hit_weights = np.concatenate(hit_chunks) if hit_chunks else np.zeros(0)
-    hits = hit_weights.size
-    estimate = _exact_sum(hit_weights) / n
-    low, high = (hit_weights.min(), hit_weights.max()) if hits else (0.0, 0.0)
+    hits = sum(c.shape[0] for c in hit_chunks)
+    estimate = _exact_sum(hit_chunks) / n
+    low = min((c.min() for c in hit_chunks), default=0.0)
+    high = max((c.max() for c in hit_chunks), default=0.0)
     if low == high and (hits == n or high == 0.0):
         # all n weighted indicators identical: zero scatter by definition
         sample_variance = 0.0
     else:
-        # each of the n - hits zero weights adds (0 - estimate)**2
+        # each hit adds (w - estimate)**2, each of the n - hits zero weights
+        # (0 - estimate)**2
         sample_variance = _exact_sum(
-            (hit_weights - estimate) ** 2, n - hits, estimate * estimate
+            hit_chunks, n - hits, estimate * estimate, center=estimate
         ) / (n - 1.0)
     return EstimatorResult(estimate, n, sample_variance, hits, density_id, "IS", evals)
 

@@ -6,6 +6,12 @@ them, yielding a biasing density concentrated near the failure region.
 When the surrogate finds too few failures to fit, the nominal density
 itself is returned and the report says so.
 
+The nominal draws are taken, evaluated and filtered in chunks of
+``estimators._CHUNK`` points, and only the failing points are kept, so a
+build's memory is bounded by the chunk plus the failure set, not by the
+number of draws.  Chunking changes no result: the draws come off the
+generator in the same order and each point is evaluated on its own.
+
 An optional threshold relaxation widens the surrogate failure set
 (failure under g < relax instead of g < 0).  Relaxation only affects the
 density construction here; the estimators always apply the true limit
@@ -20,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .densities import InsufficientSamplesError, fit_gaussian
+from .estimators import _batches
 from .models import LimitState, Model
 
 __all__ = ["BiasingBuildReport", "build_biasing_density"]
@@ -66,9 +73,11 @@ def build_biasing_density(
     if not (math.isfinite(relax) and relax >= 0.0):
         raise ValueError("threshold_relax must be finite and nonnegative")
 
-    pts = nominal.sample(rng, m)
-    g = ls.evaluate(surrogate.evaluate(pts))
-    failing = pts[g < relax]
+    kept = [np.empty((0, nominal.d))]
+    for batch in _batches(m):
+        pts = nominal.sample(rng, batch)
+        kept.append(pts[ls.evaluate(surrogate.evaluate(pts)) < relax])
+    failing = np.concatenate(kept)
     failures = failing.shape[0]
     try:
         density = fit_gaussian(failing)

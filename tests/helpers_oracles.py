@@ -2,15 +2,17 @@
 
 These deliberately avoid the code paths they check: the quadratic-program
 solver below is a plain projected-gradient iteration, not a linear solve.
-The Gaussian-mixture pdf, the importance-sampling loop and the subset
-simulation level loop are the plain forms the package once used, kept as
-references for the faster ones.
+The Gaussian-mixture pdf, the importance-sampling loop, the one-shot
+biasing-density build and the subset simulation level loop are the plain
+forms the package once used, kept as references for the faster ones.
 """
 
 import math
 
 import numpy as np
 
+from rarefuse.densities import InsufficientSamplesError, fit_gaussian
+from rarefuse.mfis import BiasingBuildReport
 from rarefuse.subset_sim import PROPOSAL_WIDTH, SubsetResult, _metropolis_move
 
 
@@ -240,3 +242,17 @@ def importance_sampling_loop(model, ls, nominal, biasing, n, rng, chunk):
     else:
         sample_variance = math.fsum((weights - estimate) ** 2) / (n - 1.0)
     return estimate, sample_variance, hits, evals
+
+
+def build_biasing_density_once(surrogate, ls, nominal, m, rng, threshold_relax=None):
+    """Biasing-density build in one shot: all ``m`` nominal draws, their
+    surrogate QoI and limit-state values held at once, then the failing
+    points fitted (the nominal when fewer than d+2 fail)."""
+    relax = 0.0 if threshold_relax is None else float(threshold_relax)
+    pts = nominal.sample(rng, m)
+    failing = pts[ls.evaluate(surrogate.evaluate(pts)) < relax]
+    try:
+        density = fit_gaussian(failing)
+    except InsufficientSamplesError:
+        return BiasingBuildReport(m, failing.shape[0], True, nominal, relax)
+    return BiasingBuildReport(m, failing.shape[0], False, density, relax)

@@ -3,8 +3,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
+from rarefuse.cli import _stream
 from rarefuse.densities import (
     GaussianMixture,
     InsufficientSamplesError,
@@ -12,6 +13,7 @@ from rarefuse.densities import (
     density_from_dict,
     fit_gaussian,
 )
+from rarefuse.mfis import build_biasing_density
 from rarefuse.models import get_benchmark
 
 from helpers_oracles import (
@@ -270,6 +272,71 @@ class TestUnitCubeTransform:
     def test_multicomponent_rejected(self):
         with pytest.raises(ValueError, match="expected one component"):
             GaussianMixture([(0.5, [0.0], [[1.0]]), (0.5, [2.0], [[1.0]])])
+
+
+class TestStoredFactors:
+    """sample, pdf and from_unit_cube through the stored C-contiguous
+    factors give the bits of the plain forms through ``L.T`` and
+    ``inv(L).T``, on every Gaussian density the runner builds.
+
+    The plain forms agree with them for two or more points.  For one point
+    NumPy hands the product to BLAS as a matrix-vector product, and through
+    the transposed view that product could differ in the last bit from the
+    same row of a batch; through the stored factors it does not, so a point
+    gets the same bits whatever chunk it falls in.
+    """
+
+    @pytest.fixture(scope="class")
+    def densities(self):
+        out = []
+        for name in ("linear-gaussian", "linear-gaussian-2.5", "arrhenius-2d"):
+            b = get_benchmark(name)
+            if isinstance(b.nominal, GaussianMixture):
+                out.append((b, b.nominal))
+            for seed in (1, 3, 7, 11):
+                for key, model in [*enumerate(b.surrogates), (1000, b.high_fidelity)]:
+                    rep = build_biasing_density(
+                        model, b.limit_state, b.nominal, 20_000, _stream(seed, 1, key)
+                    )
+                    if not rep.fell_back_to_nominal:
+                        out.append((b, rep.density))
+        assert len(out) > 20
+        return out
+
+    @pytest.mark.parametrize("n", [2, 1000, 5000])
+    def test_match_plain_forms(self, densities, n):
+        for b, gm in densities:
+            L = np.linalg.cholesky(gm.covariance)
+            log_norm = -0.5 * (gm.d * math.log(2.0 * math.pi) + 2.0 * np.sum(np.log(np.diag(L))))
+
+            want = np.random.default_rng(n).standard_normal((n, gm.d)) @ L.T
+            want += gm.mean
+            got = gm.sample(np.random.default_rng(n), n)
+            assert got.tobytes() == want.tobytes()
+
+            # at the density's own draws and at nominal draws, far out in its tails
+            pts = np.concatenate([got, b.nominal.sample(np.random.default_rng(n + 1), n)])
+            y = (pts - gm.mean) @ np.linalg.inv(L).T
+            want = np.exp(log_norm - 0.5 * np.einsum("ij,ij->i", y, y))
+            assert gm.pdf(pts).tobytes() == want.tobytes()
+
+            u = np.random.default_rng(n + 2).random((n, gm.d))
+            want = gm.mean + ndtri(np.clip(u, 1e-15, 1.0 - 1e-15)) @ L.T
+            assert gm.from_unit_cube(u).tobytes() == want.tobytes()
+
+    def test_one_point_matches_its_row_in_a_batch(self, densities):
+        n = 300
+        for b, gm in densities:
+            rng = np.random.default_rng(5)
+            batch = gm.sample(np.random.default_rng(5), n)
+            single = np.concatenate([gm.sample(rng, 1) for _ in range(n)])
+            assert single.tobytes() == batch.tobytes()
+            pts = np.concatenate([batch, b.nominal.sample(np.random.default_rng(6), n)])
+            single = np.concatenate([gm.pdf(pts[i : i + 1]) for i in range(2 * n)])
+            assert single.tobytes() == gm.pdf(pts).tobytes()
+            u = np.random.default_rng(7).random((n, gm.d))
+            single = np.concatenate([gm.from_unit_cube(u[i : i + 1]) for i in range(n)])
+            assert single.tobytes() == gm.from_unit_cube(u).tobytes()
 
 
 class TestSerialization:

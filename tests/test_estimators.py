@@ -309,7 +309,7 @@ class TestExactSum:
         x = np.array(values, dtype=float)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(est, "_SUM_SMALL", small)
-            assert same_bits(est._exact_sum(x), math.fsum(x))
+            assert same_bits(est._exact_sum([x]), math.fsum(x))
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -323,7 +323,7 @@ class TestExactSum:
         x = rng.uniform(-1.0, 1.0, n) * np.exp2(rng.integers(-binades // 2, binades // 2 + 1, n))
         x[rng.random(n) < zero_frac] = 0.0
         x[: n // 7] *= 2.0**-1070  # some subnormals
-        assert same_bits(est._exact_sum(x), math.fsum(x))
+        assert same_bits(est._exact_sum([x]), math.fsum(x))
 
     @pytest.mark.parametrize("offset", ["block-1", "block", "block+1", "2*block+1"])
     def test_block_boundaries(self, monkeypatch, offset):
@@ -334,7 +334,7 @@ class TestExactSum:
         rng = np.random.default_rng(n)
         # a narrow exponent range, so that every value moves the sum
         x = rng.standard_normal(n) * np.exp2(rng.integers(-20, 20, n))
-        assert same_bits(est._exact_sum(x), math.fsum(x))
+        assert same_bits(est._exact_sum([x]), math.fsum(x))
 
     @pytest.mark.parametrize("n", [10, 2000])
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
@@ -342,7 +342,7 @@ class TestExactSum:
         x = np.ones(n)
         x[n // 2] = bad
         with pytest.raises(ValueError, match="finite"):
-            est._exact_sum(x)
+            est._exact_sum([x])
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -355,13 +355,75 @@ class TestExactSum:
         x = np.array(values, dtype=float)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(est, "_SUM_SMALL", small)
-            assert same_bits(est._exact_sum(x, repeat, value), math.fsum(values + [value] * repeat))
+            assert same_bits(est._exact_sum([x], repeat, value), math.fsum(values + [value] * repeat))
+
+    # lengths on both sides of the small-list threshold and of the blocks
+    # the tests below patch in (64 and the default)
+    _lengths = st.one_of(
+        st.integers(0, 3000),
+        st.sampled_from([63, 64, 65, 128, 129, 511, 512, 513, 2049]),
+    )
+
+    @staticmethod
+    def split(seed, n, cuts):
+        """n values over ~600 binades with zeros and subnormals, and the same
+        values cut into consecutive arrays (repeated cuts give empty ones)."""
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(-1.0, 1.0, n) * np.exp2(rng.integers(-300, 301, n))
+        x[rng.random(n) < 0.2] = 0.0
+        x[: n // 7] *= 2.0**-1070
+        return x, np.split(x, sorted(min(c, n) for c in cuts))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        _lengths,
+        st.lists(st.integers(0, 3000), max_size=6),
+        st.sampled_from([0, 20, est._SUM_SMALL]),
+        st.sampled_from([64, est._SUM_BLOCK]),
+    )
+    def test_list_of_arrays_matches_fsum_of_concatenation(self, seed, n, cuts, small, block):
+        x, parts = self.split(seed, n, cuts)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(est, "_SUM_SMALL", small)
+            mp.setattr(est, "_SUM_BLOCK", block)
+            assert same_bits(est._exact_sum(parts), math.fsum(x))
+            assert same_bits(est._exact_sum([]), 0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        _lengths,
+        st.lists(st.integers(0, 3000), max_size=6),
+        st.integers(0, 600),
+        st.sampled_from([0, est._SUM_SMALL]),
+        st.sampled_from([64, est._SUM_BLOCK]),
+    )
+    def test_centered_squares_match_fsum(self, seed, n, cuts, repeat, small, block):
+        # the variance pass: (x - center)**2 per value, plus repeated center**2
+        x, parts = self.split(seed, n, cuts)
+        x = x * 2.0**-400  # keeps every square finite
+        parts = [p * 2.0**-400 for p in parts]
+        center = float(x[n // 2]) if n else 0.25
+        expected = math.fsum(((x - center) ** 2).tolist() + [center * center] * repeat)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(est, "_SUM_SMALL", small)
+            mp.setattr(est, "_SUM_BLOCK", block)
+            got = est._exact_sum(parts, repeat, center * center, center=center)
+        assert same_bits(got, expected)
+
+    @pytest.mark.parametrize("n", [10, 2000])
+    def test_overflowing_square_refused(self, n):
+        x = np.ones(n)
+        x[n // 2] = 1e200
+        with pytest.raises(ValueError, match="finite"), np.errstate(over="ignore"):
+            est._exact_sum([x[:3], x[3:]], center=0.0)
 
     @pytest.mark.parametrize("repeat", [1, 2000])
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_repeated_value_refused(self, repeat, bad):
         with pytest.raises(ValueError, match="finite"):
-            est._exact_sum(np.ones(10), repeat, bad)
+            est._exact_sum([np.ones(10)], repeat, bad)
 
 
 class TestAgainstReferenceLoop:

@@ -1,11 +1,16 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+import rarefuse.estimators as est
+from rarefuse.cli import _stream
 from rarefuse.densities import GaussianMixture
 from rarefuse.mfis import build_biasing_density
 from rarefuse.models import LimitState, get_benchmark, make_linear_gaussian
+
+from helpers_oracles import build_biasing_density_once
 
 
 class TestFallback:
@@ -147,3 +152,60 @@ class TestBuild:
         doc = rep.to_dict()
         assert doc["samples_drawn"] == 5000
         assert doc["density"]["type"] == "gaussian_mixture"
+
+
+class TestChunkedBuild:
+    """Bit for bit against the one-shot build: drawing, evaluating and
+    filtering in chunks changes no draw, no surrogate value and no fit."""
+
+    RELAX = {"linear-gaussian-2.5": 0.5, "arrhenius-2d": 2.0}
+
+    @pytest.mark.parametrize("name", sorted(RELAX))
+    @pytest.mark.parametrize("relaxed", [False, True])
+    @pytest.mark.parametrize(
+        "chunk, m",
+        [(37, 0), (37, 20), (37, 20_000),
+         (est._CHUNK, 0), (est._CHUNK, 20_000), (est._CHUNK, 2 * est._CHUNK + 5)],
+    )
+    def test_matches_one_shot_build(self, monkeypatch, name, relaxed, chunk, m):
+        # every model the runner builds from, on the runner's streams
+        b = get_benchmark(name)
+        relax = self.RELAX[name] if relaxed else None
+        monkeypatch.setattr(est, "_CHUNK", chunk)
+        for key, model in [*enumerate(b.surrogates), (1000, b.high_fidelity)]:
+            got, want = (
+                build(model, b.limit_state, b.nominal, m, _stream(1, 1, key), relax)
+                for build in (build_biasing_density, build_biasing_density_once)
+            )
+            assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
+            assert got.failures_found == want.failures_found
+            assert got.fell_back_to_nominal == want.fell_back_to_nominal
+
+    def test_relaxation_widens_the_compared_builds(self):
+        # the relaxed cases above differ from the strict ones
+        for name, relax in self.RELAX.items():
+            b = get_benchmark(name)
+            strict, relaxed = (
+                build_biasing_density(
+                    b.surrogates[0], b.limit_state, b.nominal, 20_000, _stream(1, 1, 0), r
+                ).failures_found
+                for r in (None, relax)
+            )
+            assert relaxed > strict
+
+    def test_draws_in_chunks_read_at_call_time(self, monkeypatch):
+        b = get_benchmark("arrhenius-2d")
+        cls = type(b.nominal)
+        sizes = []
+        original = cls.sample
+
+        def spy(self, rng, count):
+            sizes.append(count)
+            return original(self, rng, count)
+
+        monkeypatch.setattr(cls, "sample", spy)
+        monkeypatch.setattr(est, "_CHUNK", 1000)
+        build_biasing_density(
+            b.surrogates[0], b.limit_state, b.nominal, 2500, np.random.default_rng(0)
+        )
+        assert sizes == [1000, 1000, 500]
