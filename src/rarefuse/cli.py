@@ -72,7 +72,9 @@ _SUBSET_COLUMNS = [
 
 
 def _estimate_row(res) -> dict:
-    """The estimates.csv columns of one estimator result; a zero estimate has cv nan."""
+    """The estimates.csv columns of one estimator result.  A zero estimate
+    carries no information about its error, so its rmse and cv are nan."""
+    zero = res.estimate <= 0.0
     return {
         "density_id": res.density_id,
         "kind": res.kind,
@@ -80,8 +82,8 @@ def _estimate_row(res) -> dict:
         "estimate": res.estimate,
         "sample_variance": res.sample_variance,
         "hits": res.hits,
-        "rmse": rmse(res),
-        "cv": cv(res) if res.estimate > 0.0 else float("nan"),
+        "rmse": float("nan") if zero else rmse(res),
+        "cv": float("nan") if zero else cv(res),
     }
 
 
@@ -347,7 +349,7 @@ def _estimate_phase(config: ExperimentConfig, benchmark: Benchmark, report: Camp
                 "variance": fused.variance,
                 "multiplier": fused.multiplier,
                 "no_information": fused.no_information,
-                "rmse": sd,
+                "rmse": float("nan") if fused.no_information else sd,
                 "cv": sd / fused.estimate if fused.estimate > 0 else float("nan"),
                 **{f"alpha_{i + 1}": float(w) for i, w in enumerate(fused.weights)},
             }

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import math
 import re
 import subprocess
 import sys
@@ -343,8 +344,8 @@ class TestRunExperiment:
         assert partial > 0
 
     def test_estimate_rows_carry_rmse_and_cv(self, tmp_path):
-        # a zero estimate has no cv and writes nan; otherwise the row's rmse
-        # and cv are those of the estimator result it was written from
+        # a zero estimate says nothing about its error: rmse and cv write
+        # nan; otherwise they are those of the estimator result of the row
         config = small_config(tmp_path, n_grid=[30])
         run_experiment(config)
         rows = read_csv(Path(config.output_dir) / "estimates.csv")
@@ -357,14 +358,36 @@ class TestRunExperiment:
                 float(row["estimate"]), int(row["n"]), float(row["sample_variance"]),
                 int(row["hits"]), row["density_id"], row["kind"],
             )
-            assert float(row["rmse"]) == rmse(r)
             if r.estimate > 0.0:
+                assert float(row["rmse"]) == rmse(r)
                 assert float(row["cv"]) == cv(r)
                 kinds["positive"] += 1
             else:
-                assert row["cv"] == "nan"
+                assert (row["rmse"], row["cv"]) == ("nan", "nan")
                 kinds["zero"] += 1
         assert kinds["positive"] > 0 and kinds["zero"] > 0
+
+    def test_no_information_fused_rmse_is_nan(self, tmp_path):
+        # at n_total 30 every q misses in both repetitions, so each fused
+        # result has no information and the budget's fused rmse mean is nan;
+        # at 3000 it is the mean of the fused standard deviations
+        config = small_config(tmp_path, benchmark="arrhenius-2d", n_grid=[30, 3000])
+        run_experiment(config)
+        out = Path(config.output_dir)
+        sds = {}
+        for row in read_csv(out / "weights.csv"):
+            sds.setdefault(row["n_total"], []).append(
+                None if row["no_information"] == "true" else math.sqrt(float(row["variance"]))
+            )
+        assert sds["30"] == [None, None]
+        assert None not in sds["3000"]
+        fused = {
+            row["n"]: row["rmse"]
+            for row in read_csv(out / "convergence.csv")
+            if row["estimator_id"] == "fused"
+        }
+        assert fused["30"] == "nan"
+        assert float(fused["3000"]) == float(np.mean(sds["3000"]))
 
     def test_csv_floats_17_significant_digits(self, tmp_path):
         config = small_config(tmp_path)
