@@ -116,13 +116,15 @@ def _exact_sum(chunks, repeat: int = 0, value: float = 0.0, center=None) -> floa
     """
     if repeat and not math.isfinite(value):
         raise ValueError("exact sum needs finite values")
-    if sum(c.shape[0] for c in chunks) + repeat <= _SUM_SMALL:
-        values = np.concatenate([np.zeros(0), *chunks])
-        if center is not None:
-            values = (values - center) ** 2
-        if not np.isfinite(values).all():
-            raise ValueError("exact sum needs finite values")
-        return math.fsum(values.tolist() + [value] * repeat)
+    if sum(map(len, chunks)) + repeat <= _SUM_SMALL:
+        terms = [value] * repeat
+        for values in chunks:
+            if center is not None:
+                values = (values - center) ** 2
+            if not np.isfinite(values).all():
+                raise ValueError("exact sum needs finite values")
+            terms += values.tolist()
+        return math.fsum(terms)
     # the exact sum so far, times 2**(1074 + 53); den is a power of two
     # <= 2**1074, so the floor division is exact
     num, den = value.as_integer_ratio()
@@ -202,7 +204,8 @@ def importance_sampling_estimate(
         )
 
     hit_chunks = []  # p/q at the failing draws of each chunk; every other weight is 0
-    evals = 0
+    hits = evals = 0
+    low, high = math.inf, 0.0  # the extreme hit weights
     for batch in _batches(n):
         pts = biasing.sample(rng, batch)
         q_vals = biasing.pdf(pts)
@@ -231,13 +234,14 @@ def importance_sampling_estimate(
                 "failure samples"
             )
         hit_chunks.append(ratio)
+        hits += ratio.size
+        low, high = min(low, ratio.min()), max(high, ratio.max())
 
-    hits = sum(c.shape[0] for c in hit_chunks)
     estimate = _exact_sum(hit_chunks) / n
-    low = min((c.min() for c in hit_chunks), default=0.0)
-    high = max((c.max() for c in hit_chunks), default=0.0)
-    if low == high and (hits == n or high == 0.0):
-        # all n weighted indicators identical: zero scatter by definition
+    if high == 0.0 or (low == high and hits == n):
+        # zero scatter by definition: every weight is 0 (weights are >= 0,
+        # so the largest hit weight being 0 suffices), or all n draws hit
+        # with one weight
         sample_variance = 0.0
     else:
         # each hit adds (w - estimate)**2, each of the n - hits zero weights
