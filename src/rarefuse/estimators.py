@@ -60,8 +60,8 @@ class UndefinedCVError(ValueError):
 
 
 class BrokenBiasingDensityError(RuntimeError):
-    """A biasing density returned pdf 0 at one of its own samples, or a
-    likelihood ratio p/q that is not finite."""
+    """A biasing density returned pdf 0 at one of its own samples, or
+    likelihood ratios p/q that are not finite or whose sums overflow."""
 
 
 @dataclass(frozen=True)
@@ -192,8 +192,8 @@ def importance_sampling_estimate(
     Raises
     ------
     BrokenBiasingDensityError
-        The biasing pdf is 0 at one of its own samples, or some weight
-        p/q is not finite (q underflows where p does not).
+        The biasing pdf is 0 at one of its own samples, or some weight p/q is
+        not finite (q underflows where p does not) or the weight sums overflow.
     """
     if n < 2:
         raise ValueError("n must be >= 2 for the unbiased sample variance")
@@ -237,18 +237,24 @@ def importance_sampling_estimate(
         hits += ratio.size
         low, high = min(low, ratio.min()), max(high, ratio.max())
 
-    estimate = _exact_sum(hit_chunks) / n
-    if high == 0.0 or (low == high and hits == n):
-        # zero scatter by definition: every weight is 0 (weights are >= 0,
-        # so the largest hit weight being 0 suffices), or all n draws hit
-        # with one weight
-        sample_variance = 0.0
-    else:
-        # each hit adds (w - estimate)**2, each of the n - hits zero weights
-        # (0 - estimate)**2
-        sample_variance = _exact_sum(
-            hit_chunks, n - hits, estimate * estimate, center=estimate
-        ) / (n - 1.0)
+    try:
+        estimate = _exact_sum(hit_chunks) / n
+        if high == 0.0 or (low == high and hits == n):
+            # zero scatter by definition: every weight is 0 (weights are >= 0,
+            # so the largest hit weight being 0 suffices), or all n draws hit
+            # with one weight
+            sample_variance = 0.0
+        else:
+            # each hit adds (w - estimate)**2, each of the n - hits zero
+            # weights (0 - estimate)**2
+            with np.errstate(over="ignore"):  # refused just below
+                sample_variance = _exact_sum(
+                    hit_chunks, n - hits, estimate * estimate, center=estimate
+                ) / (n - 1.0)
+    except (ValueError, OverflowError):  # finite weights whose sums overflow
+        raise BrokenBiasingDensityError(
+            f"the sums of the hit weights overflow; the largest is {high:.6g}"
+        ) from None
     return EstimatorResult(estimate, n, sample_variance, hits, density_id, "IS", evals)
 
 

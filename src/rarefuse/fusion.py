@@ -15,9 +15,9 @@ whose optimality system is the symmetric (k+1) x (k+1) block
 For positive definite S the solution is alpha = S^-1 1 / (1' S^-1 1)
 with variance 1 / (1' S^-1 1); for uncorrelated estimators this reduces
 to the classical inverse-variance weighted mean.  S^-1 1 is solved from
-one Cholesky factor rather than through an explicit inverse; the
-factorization also rejects an S that is not positive definite, for which
-the formula would return a negative "variance".
+NumPy's Cholesky factor (``np.linalg.cholesky``, as in ``densities``), not
+an explicit inverse; the factorization also rejects an S that is not
+positive definite, for which the formula would return a negative variance.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .estimators import EstimatorResult
 
@@ -103,20 +102,17 @@ def optimal_weights(cov: CovarianceMatrix) -> tuple[np.ndarray, float, float]:
     use :func:`optimal_weights_diagonal` instead.  Raises ``ValueError``
     when the covariance is not positive definite.
     """
-    try:
-        condition = float(np.linalg.cond(cov.entries, 1))
-    except np.linalg.LinAlgError:  # exactly singular
-        condition = math.inf
+    condition = float(np.linalg.cond(cov.entries, 1))  # inf when exactly singular
     if not math.isfinite(condition) or condition > CONDITION_LIMIT:
         raise SingularCovarianceError(
             "covariance condition estimate exceeds 1e12; "
             "fall back to diagonal fusion of the individual variances"
         )
     try:
-        factor = scipy.linalg.cho_factor(cov.entries)
+        L = np.linalg.cholesky(cov.entries)
     except np.linalg.LinAlgError:
         raise ValueError("covariance must be positive definite") from None
-    x = scipy.linalg.cho_solve(factor, np.ones(cov.k))
+    x = np.linalg.solve(L.T, np.linalg.solve(L, np.ones(cov.k)))
     total = float(x.sum())
     return x / total, -1.0 / total, 1.0 / total
 
@@ -186,9 +182,7 @@ def fuse(
             no_information=True,
         )
 
-    floored = [
-        i for i in included if results[i].sample_variance == 0.0
-    ]
+    floored = [i for i in included if results[i].sample_variance == 0.0]
     variances = np.array(
         [
             max(results[i].sample_variance, VARIANCE_FLOOR if i in floored else 0.0)

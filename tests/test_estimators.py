@@ -1,4 +1,5 @@
 import math
+import re
 import struct
 
 import numpy as np
@@ -284,6 +285,30 @@ class TestNonFiniteWeights:
         with pytest.raises(BrokenBiasingDensityError, match=r"500 non-finite importance weight"):
             importance_sampling_estimate(
                 model, ls, Flat(1e300), Flat(1e-300), 500, np.random.default_rng(0)
+            )
+
+    # Finite weights p/q whose sums overflow; at seed 3, 527 of 1000 draws
+    # fail, so n=1000 takes the exact-sum kernel and n=100 math.fsum.
+    # weights 1e155: estimate**2 overflows in the variance sum;
+    # weights 1e307: the sum of the weights overflows.
+    @pytest.mark.parametrize("n", [100, 1000])
+    @pytest.mark.parametrize("q, largest", [(1e145, "1e+155"), (1e-7, "1e+307")])
+    def test_overflowing_weight_sums_rejected(self, q, largest, n):
+        model, ls = failing_where_first_coordinate_positive()
+        with pytest.raises(BrokenBiasingDensityError, match=re.escape(largest)):
+            importance_sampling_estimate(
+                model, ls, Flat(1e300), Flat(q), n, np.random.default_rng(3)
+            )
+
+    def test_overflowing_squared_deviation_rejected_without_warning(self):
+        # about 2% of draws fail with weight 1e155: estimate**2 is finite but
+        # each (w - estimate)**2 overflows in NumPy, whose warning is an
+        # error under this suite's filterwarnings
+        model = Model(lambda pts: pts[:, 0], 2, 1)
+        ls = LimitState(lambda y: 2.0 - y[:, 0])
+        with pytest.raises(BrokenBiasingDensityError, match=re.escape("1e+155")):
+            importance_sampling_estimate(
+                model, ls, Flat(1e300), Flat(1e145), 1000, np.random.default_rng(3)
             )
 
 

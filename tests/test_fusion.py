@@ -50,6 +50,21 @@ class TestOptimalWeights:
             oracle = qp_bruteforce_weights(sigma)
             assert np.max(np.abs(w - oracle)) < 1e-8
 
+    def test_matches_scipy_cho_solve(self):
+        # SciPy is the reference only; the package solves with NumPy
+        import scipy.linalg
+
+        rng = np.random.default_rng(11)
+        for _ in range(210):
+            k = int(rng.integers(2, 9))
+            sigma = random_spd(rng, k)
+            x = scipy.linalg.cho_solve(scipy.linalg.cho_factor(sigma), np.ones(k))
+            w, lam, v = optimal_weights(CovarianceMatrix(sigma))
+            ref = x / x.sum()
+            assert np.max(np.abs(w - ref)) <= 1e-12 * np.max(np.abs(ref))
+            assert v == pytest.approx(1.0 / x.sum(), rel=1e-12, abs=0.0)
+            assert lam == pytest.approx(-1.0 / x.sum(), rel=1e-12, abs=0.0)
+
     def test_kkt_residual(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
