@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import ndtri
 
 __all__ = [
     "UniformBox",
@@ -186,6 +185,8 @@ class GaussianMixture:
     def from_unit_cube(self, u: np.ndarray) -> np.ndarray:
         """Map unit-cube points (n, d) through the coordinate-wise normal
         quantile, then the Cholesky factor."""
+        from scipy.special import ndtri  # here, so only this call loads SciPy
+
         z = ndtri(np.clip(u, 1e-15, 1.0 - 1e-15))
         return self.mean + z @ self._chol_t
 

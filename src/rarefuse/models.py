@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import benchmark_constants as bc
 from .densities import GaussianMixture, UniformBox
@@ -154,6 +153,8 @@ def make_linear_gaussian(
         return np.zeros(pts.shape[0])
 
     def oracle(resolution: int) -> float:
+        from scipy.special import ndtr  # here, so only an oracle call loads SciPy
+
         return float(ndtr(-beta))
 
     return Benchmark(
