@@ -10,6 +10,21 @@ all of R^d, which importance sampling requires of a biasing density;
 subset simulation samples the unit cube and maps it through
 ``from_unit_cube``.
 
+Batches come back column-major: ``sample`` and ``from_unit_cube`` write
+their (n, d) result into a Fortran-ordered buffer, and so does ``pdf``
+with the whitened points.  With d = 2 every later broadcast (``+ mean``,
+``- mean``, the box test) and every axis-1 reduction (a model's
+``sum(axis=1)``, the quadratic form) would otherwise run an inner loop two
+elements long; column-major, the loops run over n.  Per chunk of 65 536
+two-dimensional points, C order against F order (2-core sandbox, NumPy
+2.4): ``sum(axis=1)`` 1.70 against 0.09 ms, ``z - mean`` 0.67 against
+0.10 ms, the box test 3.36 against 0.09 ms, the quadratic form 0.48
+against 0.10 ms and the sampling transform 0.53-0.77 against 0.24 ms,
+next to 2.0-2.4 ms for ``standard_normal`` itself.  No random stream
+depends on the order, and at d <= 2 no value does either; from d = 3 the
+quadratic form may round a row differently in its last bits (pdf within
+1e-12 relative of the C-order form at d = 50).
+
 Densities are immutable after construction and safe to share across
 threads; every sampling call owns its generator.
 """
@@ -71,6 +86,7 @@ class UniformBox:
         self.upper = upper
         self.d = lower.shape[0]
         self.volume = float(np.prod(widths))
+        self._width = widths
         self._pdf_value = 1.0 / self.volume
         self.lower.setflags(write=False)
         self.upper.setflags(write=False)
@@ -94,7 +110,9 @@ class UniformBox:
 
     def from_unit_cube(self, u: np.ndarray) -> np.ndarray:
         """Map unit-cube points (n, d) affinely onto the box."""
-        return self.lower + u * (self.upper - self.lower)
+        out = np.multiply(u, self._width, out=np.empty((self.d, len(u))).T)
+        out += self.lower
+        return out
 
     def to_dict(self) -> dict:
         return {
@@ -150,10 +168,12 @@ class GaussianMixture:
         # The Cholesky factor doubles as the positive-definiteness check.  It
         # draws samples (z = mean + normals @ L.T); its inverse, transposed,
         # whitens points (y = (z - mean) @ inv(L).T).  Both transposes are
-        # stored C-contiguous: the (n, d) @ (d, d) product runs about 4x
-        # faster than through a transposed view, with the same bits, and a
-        # one-row product gives the bits of that row in a batch (through
-        # the view BLAS took another path for it).
+        # stored C-contiguous, whatever the order of the batches they
+        # multiply (the products are written column-major): the (n, d) @
+        # (d, d) product runs about 4x faster than through a transposed
+        # view, with the same bits, and a one-row product gives the bits of
+        # that row in a batch (through the view BLAS took another path for
+        # it).
         try:
             L = np.linalg.cholesky(cov)
         except np.linalg.LinAlgError:
@@ -167,7 +187,8 @@ class GaussianMixture:
 
     def pdf(self, z) -> np.ndarray:
         """Density values at a batch of points (n, d)."""
-        y = (_as_points(z, self.d) - self.mean) @ self._whiten
+        centered = _as_points(z, self.d) - self.mean
+        y = np.matmul(centered, self._whiten, out=np.empty((self.d, len(centered))).T)
         # exp(log_norm - 0.5 * quad), formed in the array einsum returns
         out = np.einsum("ij,ij->i", y, y)
         out *= -0.5
@@ -178,7 +199,8 @@ class GaussianMixture:
         """Draw `count` points through the Cholesky factor, shape (count, d)."""
         if count < 0:
             raise ValueError("count must be nonnegative")
-        out = rng.standard_normal((count, self.d)) @ self._chol_t
+        normals = rng.standard_normal((count, self.d))
+        out = np.matmul(normals, self._chol_t, out=np.empty((self.d, count)).T)
         out += self.mean
         return out
 
@@ -188,7 +210,9 @@ class GaussianMixture:
         from scipy.special import ndtri  # here, so only this call loads SciPy
 
         z = ndtri(np.clip(u, 1e-15, 1.0 - 1e-15))
-        return self.mean + z @ self._chol_t
+        out = np.matmul(z, self._chol_t, out=np.empty((self.d, len(z))).T)
+        out += self.mean
+        return out
 
     def to_dict(self) -> dict:
         return {

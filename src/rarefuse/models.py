@@ -41,9 +41,11 @@ __all__ = [
 class Model:
     """Deterministic map from parameter points to a QoI vector.
 
-    ``fn`` is the vectorized implementation: it receives an (n, d) array
-    and returns an (n, d') array (a plain (n,) return is accepted for
-    scalar QoIs).
+    ``fn`` is the vectorized implementation: it receives an (n, d) float
+    array in any memory order (the densities hand out column-major
+    batches), so it must not assume C order, for example through
+    ``reshape`` or ``view`` tricks, and it returns an (n, d') array (a
+    plain (n,) return is accepted for scalar QoIs).
     """
 
     fn: Callable[[np.ndarray], np.ndarray]

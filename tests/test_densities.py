@@ -13,8 +13,9 @@ from rarefuse.densities import (
     density_from_dict,
     fit_gaussian,
 )
+from rarefuse.estimators import _CHUNK
 from rarefuse.mfis import build_biasing_density
-from rarefuse.models import get_benchmark
+from rarefuse.models import benchmark_names, get_benchmark
 
 from helpers_oracles import (
     gaussian_mixture_pdf_solve,
@@ -337,6 +338,79 @@ class TestStoredFactors:
             u = np.random.default_rng(7).random((n, gm.d))
             single = np.concatenate([gm.from_unit_cube(u[i : i + 1]) for i in range(n)])
             assert single.tobytes() == gm.from_unit_cube(u).tobytes()
+
+
+def _layout_densities():
+    """Each registered nominal, a Gaussian fitted in its domain, and two
+    3-d densities."""
+    rng = np.random.default_rng(0)
+    out = [
+        UniformBox([-3.0, 0.5, -1e-3], [2.0, 7.0, 1e-3]),
+        GaussianMixture([(1.0, [1.0, -2.0, 0.5], random_spd(rng, 3))]),
+    ]
+    for name in benchmark_names():
+        nominal = get_benchmark(name).nominal
+        out += [nominal, fit_gaussian(nominal.sample(rng, 50))]
+    return out
+
+
+class TestColumnMajorBatches:
+    """``sample`` and ``from_unit_cube`` hand out (n, d) batches column-major,
+    and memory order changes no value at d <= 2: pdf, every registered
+    model and every limit state give the same bits on a C copy and an F
+    copy of the same points."""
+
+    @pytest.mark.parametrize("n", [2, 300])
+    @pytest.mark.parametrize(
+        "density", _layout_densities(), ids=lambda q: f"{type(q).__name__}-d{q.d}"
+    )
+    def test_batches_are_column_major(self, density, n):
+        rng = np.random.default_rng(n)
+        u = rng.random((2 * n, density.d))
+        # from_unit_cube of a C-ordered and of a strided unit-cube batch
+        batches = [density.from_unit_cube(u[:n]), density.from_unit_cube(u[::2])]
+        for pts in (density.sample(rng, n), *batches):
+            assert pts.shape == (n, density.d)
+            assert pts.flags.f_contiguous
+
+    @pytest.mark.parametrize("n", [1, 300, _CHUNK + 3])
+    @pytest.mark.parametrize("name", benchmark_names())
+    def test_pdf_same_bits_in_either_order(self, name, n):
+        nominal = get_benchmark(name).nominal
+        rng = np.random.default_rng(n)
+        gm = fit_gaussian(nominal.sample(rng, 50))
+        own = gm.sample(rng, n)
+        # draws of both, and points three times as far from the fitted mean
+        pts = np.concatenate([nominal.sample(rng, n), own, gm.mean + 3.0 * (own - gm.mean)])
+        c, f = np.ascontiguousarray(pts), np.asfortranarray(pts)
+        for density in (nominal, gm):
+            assert density.pdf(c).tobytes() == density.pdf(f).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 300, _CHUNK + 3])
+    @pytest.mark.parametrize("name", benchmark_names())
+    def test_models_and_limit_state_same_bits_in_either_order(self, name, n):
+        b = get_benchmark(name)
+        pts = b.nominal.sample(np.random.default_rng(n), n)
+        c, f = np.ascontiguousarray(pts), np.asfortranarray(pts)
+        for model in (b.high_fidelity, *b.surrogates):
+            qoi = model.evaluate(c)
+            assert qoi.tobytes() == model.evaluate(f).tobytes()
+            g = b.limit_state.evaluate(np.ascontiguousarray(qoi))
+            assert g.tobytes() == b.limit_state.evaluate(np.asfortranarray(qoi)).tobytes()
+
+    @pytest.mark.parametrize("d", [3, 50])
+    def test_pdf_near_the_row_major_form_above_two_dimensions(self, d):
+        # At d >= 3 the quadratic form over a column-major batch may round
+        # some rows differently from the same form over a C-ordered one;
+        # at a density's own draws the pdfs differ by a few ulps.
+        rng = np.random.default_rng(d)
+        gm = GaussianMixture([(1.0, rng.standard_normal(d), random_spd(rng, d))])
+        pts = gm.sample(rng, 5000)
+        L = np.linalg.cholesky(gm.covariance)
+        log_norm = -0.5 * (d * math.log(2.0 * math.pi) + 2.0 * np.sum(np.log(np.diag(L))))
+        y = (np.ascontiguousarray(pts) - gm.mean) @ np.ascontiguousarray(np.linalg.inv(L).T)
+        want = np.exp(log_norm - 0.5 * np.einsum("ij,ij->i", y, y))
+        np.testing.assert_allclose(gm.pdf(pts), want, rtol=1e-12, atol=0.0)
 
 
 class TestSerialization:
