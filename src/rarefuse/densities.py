@@ -15,7 +15,7 @@ their (n, d) result into a Fortran-ordered buffer, and so does ``pdf``
 with the whitened points.  With d = 2 every later broadcast (``+ mean``,
 ``- mean``, the box test) and every axis-1 reduction (a model's
 ``sum(axis=1)``, the quadratic form) would otherwise run an inner loop two
-elements long; column-major, the loops run over n.  Per chunk of 65 536
+elements long; column-major, the loops run over n.  Per batch of 65 536
 two-dimensional points, C order against F order (2-core sandbox, NumPy
 2.4): ``sum(axis=1)`` 1.70 against 0.09 ms, ``z - mean`` 0.67 against
 0.10 ms, the box test 3.36 against 0.09 ms, the quadratic form 0.48

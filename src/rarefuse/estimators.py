@@ -15,7 +15,9 @@ deviations one block at a time and adds the ``n - hits`` zero weights
 exactly as that many copies of ``estimate**2``.  Draws are taken and
 evaluated ``_CHUNK`` at a time (``mfis`` builds densities the same way), so
 the transient memory of a call is bounded by the chunk plus the hit
-weights, not by ``n``.
+weights, not by ``n``.  The runner may run two bulk calls at once, one
+per lane; the chunk is small enough that two of them hold less than one
+call did at the former 2**16.
 """
 
 from __future__ import annotations
@@ -41,8 +43,11 @@ __all__ = [
 # Points drawn, evaluated and dropped together by the estimators and by
 # density builds.  It bounds their transient memory (a few arrays of this
 # many points) and changes no result: draws come off the generator in the
-# same order, each point is evaluated on its own, and sums are exact.
-_CHUNK = 1 << 16
+# same order, each point is evaluated on its own, and sums are exact.  The
+# runner runs two bulk calls at once, so the chunk is 2**14: two lanes of it
+# hold less than one lane of 2**16 did, and the smaller chunk alone costs
+# no time.
+_CHUNK = 1 << 14
 
 # Values per block of the exact-sum kernel.  The kernel's temporaries are a
 # few arrays of this length, so 2**16 keeps them in cache (about 3x faster

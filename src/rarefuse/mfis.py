@@ -10,7 +10,10 @@ The nominal draws are taken, evaluated and filtered in chunks of
 ``estimators._CHUNK`` points, and only the failing points are kept, so a
 build's memory is bounded by the chunk plus the failure set, not by the
 number of draws.  Chunking changes no result: the draws come off the
-generator in the same order and each point is evaluated on its own.
+generator in the same order and each point is evaluated on its own.  The
+runner builds two densities at once when each draws many chunks, which is
+why the chunk is 2**14 points: two builds then hold less than one did at
+2**16.
 
 An optional threshold relaxation widens the surrogate failure set
 (failure under g < relax instead of g < 0).  Relaxation only affects the
