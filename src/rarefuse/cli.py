@@ -232,17 +232,66 @@ class CampaignReport:
     files: list[str] = field(default_factory=list)
 
 
-def _stream(seed: int, *key: int) -> np.random.Generator:
-    """Independent generator for one unit of work, stable under reordering.
+# SeedSequence's hash constants (numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R, _M32 = 0xCA01F9DD, 0x4973F715, 0xFFFFFFFF
 
-    The same stream as ``default_rng(SeedSequence(seed, spawn_key=key))``:
-    the entropy that form assembles (the seed's 32-bit words, least
-    significant first, zero-padded to the pool size 4, then the key words)
-    is passed as one uint32 array, which skips its word-by-word conversion.
+
+def _hashmix(value, xor, mult):
+    # NumPy's hashmix and output steps, on Python ints or uint32 arrays
+    value = (value ^ xor) * mult & _M32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    value = (_MIX_L * x - _MIX_R * y) & _M32
+    return value ^ value >> 16
+
+
+def _stream(seed: int, keys) -> np.ndarray:
+    """Row i: ``SeedSequence(seed, spawn_key=keys[i]).generate_state(4, np.uint64)``.
+
+    NumPy's hash, with the seed's 32-bit words (least significant first,
+    zero-padded to the pool size 4) mixed once as Python ints, then each
+    key word into the pools of all keys at once, in the result's buffer.
     """
-    words = [(seed >> shift) & 0xFFFFFFFF for shift in range(0, max(128, seed.bit_length()), 32)]
-    entropy = np.array(words + list(key), dtype=np.uint32)
-    return np.random.default_rng(np.random.SeedSequence(entropy))
+    (width,) = {len(key) for key in keys}  # ValueError unless the keys share a length
+    words = [seed >> shift & _M32 for shift in range(0, max(128, seed.bit_length()), 32)]
+    h = [_INIT_A * pow(_MULT_A, t, 1 << 32) & _M32 for t in range(4 * (len(words) + width) + 1)]
+    calls = zip(h, h[1:])  # (xor, mult) of mix_entropy's hashmix calls, in call order
+    pool = [_hashmix(w, *next(calls)) for w in words[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], *next(calls)))
+    for w in words[4:]:
+        pool = [_mix(p, _hashmix(w, *next(calls))) for p in pool]
+    state = np.empty((len(keys), 8), dtype="<u4")  # each key's pool in words 0-3
+    state[:, :4] = pool
+    for j in range(width):
+        w = np.fromiter((key[j] for key in keys), np.uint32, len(keys))  # past 32 bits raises
+        for p in range(4):
+            state[:, p] = _mix(state[:, p], _hashmix(w, *next(calls)))
+    state[:, 4:] = state[:, :4]  # generate_state hashes the pool cycled to 8 words
+    g = [_INIT_B * pow(_MULT_B, t, 1 << 32) & _M32 for t in range(9)]
+    for i in range(8):
+        state[:, i] = _hashmix(state[:, i], g[i], g[i + 1])
+    return state.view("<u8").astype(np.uint64, copy=False)  # joined little-endian
+
+
+class _Seeded(np.random.bit_generator.ISeedSequence):
+    """Hands PCG64 the 4 uint64 words it asks for: a row of ``_stream``."""
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _generator(words) -> np.random.Generator:
+    """A unit's generator, built when it runs: a phase holds seeds, not generators."""
+    return np.random.Generator(np.random.PCG64(_Seeded(words)))
 
 
 # A phase takes a second lane only when one of its units spans more than
@@ -263,9 +312,9 @@ def _in_lanes(units, points: list[int]):
     the GIL in its bulk kernels: each goes, longest first, to the lane with
     fewer points so far (ties to this thread).  Otherwise no thread starts
     and each unit runs here as its result is read, as in a plain loop.  A
-    unit's result must not depend on when it runs; each builds its own
-    stream.  In two lanes, if units raise, every unit still runs, and the
-    error of the lowest-index one is raised, as a serial loop would.
+    unit's result must not depend on when it runs; each seeds its own
+    generator.  In two lanes, if units raise, every unit still runs, and
+    the error of the lowest-index one is raised, as a serial loop would.
     """
     if max(points, default=0) <= _LANE_CHUNKS * estimators._CHUNK:
         return (unit() for unit in units)
@@ -344,18 +393,19 @@ def _build_phase(config: ExperimentConfig, benchmark: Benchmark, report: Campaig
     t0 = time.perf_counter()
     # one density per surrogate, then the high-fidelity reference on key 1000
     models = [*enumerate(benchmark.surrogates), (1000, benchmark.high_fidelity)]
+    seeds = _stream(config.seed, [(1, key) for key, _ in models])
 
-    def build(key, model):
+    def build(i):
         return build_biasing_density(
-            model,
+            models[i][1],
             benchmark.limit_state,
             benchmark.nominal,
             config.m,
-            _stream(config.seed, 1, key),
+            _generator(seeds[i]),
             config.threshold_relax,
         )
 
-    units = (partial(build, key, model) for key, model in models)
+    units = (partial(build, i) for i in range(len(models)))
     builds = list(_in_lanes(units, [config.m] * len(models)))
     report.density_reports = builds[:-1]
     report.reference_report = builds[-1]
@@ -381,25 +431,23 @@ def _estimate_phase(config: ExperimentConfig, benchmark: Benchmark, report: Camp
             ]
             continue
         splits = _split_budget(n_total, k)
+        slots = k + 2
+        reps = range(config.repetitions)
+        slot_keys = [*range(k), 900, 901]  # IS on each density, then MC and q_ref
+        seeds = _stream(config.seed, [(2, n_idx, rep, s) for rep in reps for s in slot_keys])
 
         def estimate(rep, slot):
-            # slots 0..k-1 are the densities' IS estimators, slot k is MC on
-            # stream key 900 and slot k+1 the reference density on key 901
+            rng = _generator(seeds[rep * slots + slot])
             if slot < k:
-                rng = _stream(config.seed, 2, n_idx, rep, slot)
                 return importance_sampling_estimate(
                     hf, ls, nominal, densities[slot], splits[slot], rng, density_ids[slot]
                 )
             if slot == k:
-                rng = _stream(config.seed, 2, n_idx, rep, 900)
                 return monte_carlo_estimate(hf, ls, nominal, n_total, rng, "nominal")
-            rng = _stream(config.seed, 2, n_idx, rep, 901)
             return importance_sampling_estimate(
                 hf, ls, nominal, report.reference_report.density, n_total, rng, "q_ref"
             )
 
-        slots = k + 2
-        reps = range(config.repetitions)
         done = _in_lanes(
             (partial(estimate, rep, slot) for rep in reps for slot in range(slots)),
             [*splits, n_total, n_total] * len(reps),
@@ -460,6 +508,7 @@ def _estimate_phase(config: ExperimentConfig, benchmark: Benchmark, report: Camp
 
 def _subset_phase(config: ExperimentConfig, benchmark: Benchmark, report: CampaignReport):
     t0 = time.perf_counter()
+    seeds = _stream(config.seed, [(3, rep) for rep in range(config.repetitions)])
     for rep in range(config.repetitions):
         result = subset_simulation(
             benchmark.high_fidelity,
@@ -468,7 +517,7 @@ def _subset_phase(config: ExperimentConfig, benchmark: Benchmark, report: Campai
             config.subset.N,
             config.subset.p0,
             config.subset.max_levels,
-            _stream(config.seed, 3, rep),
+            _generator(seeds[rep]),
         )
         report.subset_rows.append(
             {

@@ -202,7 +202,7 @@ def importance_sampling_estimate(
     """
     if n < 2:
         raise ValueError("n must be >= 2 for the unbiased sample variance")
-    same = biasing == nominal
+    same = biasing is nominal or biasing == nominal
     if not biasing.full_support and not same:
         raise ValueError(
             "biasing density must have full support or equal the nominal density"

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr, ndtri
 
-from rarefuse.cli import _stream
+from rarefuse.cli import _generator, _stream
 from rarefuse.densities import (
     GaussianMixture,
     InsufficientSamplesError,
@@ -294,10 +294,12 @@ class TestStoredFactors:
             b = get_benchmark(name)
             if isinstance(b.nominal, GaussianMixture):
                 out.append((b, b.nominal))
+            models = [*enumerate(b.surrogates), (1000, b.high_fidelity)]
             for seed in (1, 3, 7, 11):
-                for key, model in [*enumerate(b.surrogates), (1000, b.high_fidelity)]:
+                seeds = _stream(seed, [(1, key) for key, _ in models])
+                for (_, model), words in zip(models, seeds):
                     rep = build_biasing_density(
-                        model, b.limit_state, b.nominal, 20_000, _stream(seed, 1, key)
+                        model, b.limit_state, b.nominal, 20_000, _generator(words)
                     )
                     if not rep.fell_back_to_nominal:
                         out.append((b, rep.density))

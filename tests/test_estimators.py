@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import ndtr
 
 import rarefuse.estimators as est
-from rarefuse.cli import _estimate_row, _stream
+from rarefuse.cli import _estimate_row, _generator, _stream
 from rarefuse.densities import GaussianMixture, UniformBox, fit_gaussian
 from rarefuse.estimators import (
     BrokenBiasingDensityError,
@@ -221,6 +221,22 @@ class TestImportanceSampling:
                 b.high_fidelity, b.limit_state, b.nominal, shrunk, 100,
                 np.random.default_rng(0),
             )
+
+    def test_nominal_itself_or_an_equal_copy_accepted(self):
+        # a fallback build hands back the nominal object itself
+        b = get_benchmark("arrhenius-2d")
+        copy = UniformBox(b.nominal.lower, b.nominal.upper)
+        assert copy is not b.nominal and copy == b.nominal
+        same, equal = (
+            importance_sampling_estimate(
+                b.high_fidelity, b.limit_state, b.nominal, q, 3000, np.random.default_rng(4)
+            )
+            for q in (b.nominal, copy)
+        )
+        assert (same.estimate, same.sample_variance, same.hits) == (
+            equal.estimate, equal.sample_variance, equal.hits,
+        )
+        assert same.hits > 0
 
     def test_declared_full_support_accepted(self):
         # support is read from the density's flag, not from its type
@@ -519,9 +535,11 @@ class TestAgainstReferenceLoop:
         out = []
         for name in ("linear-gaussian-2.5", "arrhenius-2d"):
             b = get_benchmark(name)
-            for k, model in enumerate([*b.surrogates, b.high_fidelity]):
+            models = [*b.surrogates, b.high_fidelity]
+            seeds = _stream(1, [(1, k) for k in range(len(models))])
+            for model, words in zip(models, seeds):
                 build = build_biasing_density(
-                    model, b.limit_state, b.nominal, 20000, _stream(1, 1, k)
+                    model, b.limit_state, b.nominal, 20000, _generator(words)
                 )
                 out.append((b, build.density))
             out.append((b, b.nominal))
@@ -577,15 +595,44 @@ class TestAgainstReferenceLoop:
 
 
 class TestStream:
-    """``_stream`` passes the entropy the spawn-key form assembles."""
+    """``_stream`` gives each spawn key the seed its ``SeedSequence`` would."""
 
-    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**128 + 5])
+    # keys of each length 0-4 hashed in one call; the longest hold one
+    # many-small budget's keys, 300 repetitions of slots 0-2, 900 and 901
+    KEYS = {
+        0: [()],
+        1: [(0,), (1000,), (2**32 - 1,)],
+        2: [(1, 0), (1, 1), (1, 1000), (3, 7), (3, 299)],
+        3: [(2, 0, 0), (2**32 - 1, 5, 2**31)],
+        4: [
+            (2, 0, 0, 0),
+            *((2, 3, rep, slot) for rep in range(300) for slot in (0, 1, 2, 900, 901)),
+        ],
+    }
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**128 + 5, 2**170 + 12345])
+    @pytest.mark.parametrize("width", sorted(KEYS))
+    def test_matches_spawn_key_form(self, seed, width):
+        keys = self.KEYS[width]
+        seeds = _stream(seed, keys)
+        assert seeds.shape == (len(keys), 4) and seeds.dtype == np.uint64
+        for key, words in zip(keys, seeds):
+            expected = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+            assert _generator(words).bit_generator.state == expected.bit_generator.state
+
     @pytest.mark.parametrize(
-        "key", [(), (1, 0), (1, 1000), (3, 7), (2, 0, 0, 0), (2, 3, 299, 2), (2, 3, 299, 901)]
+        "keys, error",
+        [
+            ([(1, 2), (1,)], ValueError),
+            ([(1,), (1, 2)], ValueError),
+            ([], ValueError),
+            ([(1, 2**32)], OverflowError),
+            ([(0,), (-1,)], OverflowError),
+        ],
     )
-    def test_matches_spawn_key_form(self, seed, key):
-        expected = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
-        assert _stream(seed, *key).bit_generator.state == expected.bit_generator.state
+    def test_ragged_keys_and_words_past_32_bits_raise(self, keys, error):
+        with pytest.raises(error):
+            _stream(1, keys)
 
 
 class TestNonFiniteLimitState:

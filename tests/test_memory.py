@@ -8,7 +8,9 @@ plus what it keeps (failing points, hit weights), not by its sample count.
 The bounds sit between that and the peaks of the unchunked forms, which
 held every draw at once: 33 MB for the build and 27 MB for the estimator.
 The runner runs two such calls at once; at 2**14 points per chunk the two
-lanes of a bulk estimation phase stay below one call's bound.
+lanes of a bulk estimation phase stay below one call's bound.  Seeding a
+phase holds one 32-byte row per unit; each unit builds its generator only
+when it runs.
 """
 
 import threading
@@ -21,6 +23,7 @@ from rarefuse.cli import (
     ExperimentConfig,
     _build_phase,
     _estimate_phase,
+    _generator,
     _stream,
 )
 from rarefuse.estimators import importance_sampling_estimate
@@ -29,6 +32,7 @@ from rarefuse.models import get_benchmark
 
 BUILD_PEAK_MB = 8.0  # m = 10**6 draws; measured 1.5 MB
 IS_PEAK_MB = 14.0  # n = 6 * 10**5 draws, about 5.2 * 10**5 hits; measured 5.2 MB
+SEEDS_PEAK_MB = 0.1
 
 
 def traced_peak_mb(fn):
@@ -52,11 +56,16 @@ def bench():
     return get_benchmark("linear-gaussian-2.5")
 
 
+def runner_rng(seed, *key):
+    """The generator the runner gives the unit with this spawn key."""
+    return _generator(_stream(seed, [key])[0])
+
+
 def test_build_peak_bounded_by_chunk(bench):
     b = bench
     rep, peak = traced_peak_mb(
         lambda: build_biasing_density(
-            b.high_fidelity, b.limit_state, b.nominal, 1_000_000, _stream(1, 1, 1000)
+            b.high_fidelity, b.limit_state, b.nominal, 1_000_000, runner_rng(1, 1, 1000)
         )
     )
     assert not rep.fell_back_to_nominal
@@ -66,15 +75,24 @@ def test_build_peak_bounded_by_chunk(bench):
 def test_importance_sampling_peak_bounded_by_chunk_and_hits(bench):
     b = bench
     q = build_biasing_density(
-        b.high_fidelity, b.limit_state, b.nominal, 20_000, _stream(1, 1, 1000)
+        b.high_fidelity, b.limit_state, b.nominal, 20_000, runner_rng(1, 1, 1000)
     ).density
     res, peak = traced_peak_mb(
         lambda: importance_sampling_estimate(
-            b.high_fidelity, b.limit_state, b.nominal, q, 600_000, _stream(1, 2, 0, 0, 901)
+            b.high_fidelity, b.limit_state, b.nominal, q, 600_000, runner_rng(1, 2, 0, 0, 901)
         )
     )
     assert res.hits > 500_000  # most draws hit, so the hit weights alone are ~4 MB
     assert peak < IS_PEAK_MB
+
+
+def test_seeding_a_budget_holds_seeds_not_generators():
+    """One is-many-small-arrhenius budget: 300 repetitions of 5 slots, 1500
+    keys.  Measured 81 KB; the 1500 generators built up front held 1.1 MB."""
+    keys = [(2, 0, rep, slot) for rep in range(300) for slot in (0, 1, 2, 900, 901)]
+    seeds, peak = traced_peak_mb(lambda: _stream(1, keys))
+    assert seeds.shape == (1500, 4)
+    assert peak < SEEDS_PEAK_MB
 
 
 def test_two_lane_estimation_phase_peak_below_one_call_bound(bench, monkeypatch):
