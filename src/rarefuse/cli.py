@@ -238,7 +238,7 @@ _MIX_L, _MIX_R, _M32 = 0xCA01F9DD, 0x4973F715, 0xFFFFFFFF
 
 
 def _hashmix(value, xor, mult):
-    # NumPy's hashmix and output steps, on Python ints or uint32 arrays
+    # NumPy's hashmix and output steps, on uint32 arrays
     value = (value ^ xor) * mult & _M32
     return value ^ value >> 16
 
@@ -251,23 +251,17 @@ def _mix(x, y):
 def _stream(seed: int, keys) -> np.ndarray:
     """Row i: ``SeedSequence(seed, spawn_key=keys[i]).generate_state(4, np.uint64)``.
 
-    NumPy's hash, with the seed's 32-bit words (least significant first,
-    zero-padded to the pool size 4) mixed once as Python ints, then each
-    key word into the pools of all keys at once, in the result's buffer.
+    NumPy's hash: the seed's own pool (``SeedSequence(seed).pool``, its
+    32-bit words mixed by NumPy), then each key word mixed into the pools
+    of all keys at once, in the result's buffer.
     """
     (width,) = {len(key) for key in keys}  # ValueError unless the keys share a length
-    words = [seed >> shift & _M32 for shift in range(0, max(128, seed.bit_length()), 32)]
-    h = [_INIT_A * pow(_MULT_A, t, 1 << 32) & _M32 for t in range(4 * (len(words) + width) + 1)]
-    calls = zip(h, h[1:])  # (xor, mult) of mix_entropy's hashmix calls, in call order
-    pool = [_hashmix(w, *next(calls)) for w in words[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], *next(calls)))
-    for w in words[4:]:
-        pool = [_mix(p, _hashmix(w, *next(calls))) for p in pool]
     state = np.empty((len(keys), 8), dtype="<u4")  # each key's pool in words 0-3
-    state[:, :4] = pool
+    state[:, :4] = np.random.SeedSequence(seed).pool
+    # the seed's words, at least 4, took 4 hashmix calls each
+    start = 4 * max(4, -(-seed.bit_length() // 32))
+    h = [_INIT_A * pow(_MULT_A, t, 1 << 32) & _M32 for t in range(start, start + 4 * width + 1)]
+    calls = zip(h, h[1:])  # (xor, mult) of mix_entropy's hashmix calls, in call order
     for j in range(width):
         w = np.fromiter((key[j] for key in keys), np.uint32, len(keys))  # past 32 bits raises
         for p in range(4):
@@ -303,8 +297,9 @@ _LANE_CHUNKS = 4
 
 
 def _in_lanes(units, points: list[int]):
-    """Call the zero-argument ``units``; returns an iterator over their
-    results in input order.
+    """Call the zero-argument ``units`` of a phase (its density builds, one
+    budget's estimator calls, or its subset runs); returns an iterator over
+    their results in input order.
 
     ``points[i]`` is the number of points unit i draws.  When some unit
     spans more than ``_LANE_CHUNKS`` chunks (``estimators._CHUNK``), the
@@ -312,9 +307,10 @@ def _in_lanes(units, points: list[int]):
     the GIL in its bulk kernels: each goes, longest first, to the lane with
     fewer points so far (ties to this thread).  Otherwise no thread starts
     and each unit runs here as its result is read, as in a plain loop.  A
-    unit's result must not depend on when it runs; each seeds its own
-    generator.  In two lanes, if units raise, every unit still runs, and
-    the error of the lowest-index one is raised, as a serial loop would.
+    unit's result must not depend on when it runs: ``_run_units`` gives
+    each its own generator.  In two lanes, if units raise, every unit
+    still runs, and the error of the lowest-index one is raised, as a
+    serial loop would.
     """
     if max(points, default=0) <= _LANE_CHUNKS * estimators._CHUNK:
         return (unit() for unit in units)
@@ -343,6 +339,17 @@ def _in_lanes(units, points: list[int]):
     if errors:
         raise errors[min(errors)]
     return iter(results)
+
+
+def _run_units(seed: int, keys: list, points: list[int], calls):
+    """Run unit i of a phase as ``calls[i](rng)``, seeded by spawn key
+    ``keys[i]`` and scheduled by its ``points[i]`` (``_in_lanes``); returns
+    an iterator over the results in input order.  One ``_stream`` call seeds
+    the phase; each unit builds its generator when it runs, and a lazy
+    ``calls`` keeps a serial phase to one unit at a time."""
+    seeds = _stream(seed, keys)
+    units = (lambda c=call, w=words: c(_generator(w)) for call, words in zip(calls, seeds))
+    return _in_lanes(units, points)
 
 
 class _OneAtATime:
@@ -393,20 +400,13 @@ def _build_phase(config: ExperimentConfig, benchmark: Benchmark, report: Campaig
     t0 = time.perf_counter()
     # one density per surrogate, then the high-fidelity reference on key 1000
     models = [*enumerate(benchmark.surrogates), (1000, benchmark.high_fidelity)]
-    seeds = _stream(config.seed, [(1, key) for key, _ in models])
-
-    def build(i):
-        return build_biasing_density(
-            models[i][1],
-            benchmark.limit_state,
-            benchmark.nominal,
-            config.m,
-            _generator(seeds[i]),
-            config.threshold_relax,
-        )
-
-    units = (partial(build, i) for i in range(len(models)))
-    builds = list(_in_lanes(units, [config.m] * len(models)))
+    fixed = (benchmark.limit_state, benchmark.nominal, config.m)
+    calls = [
+        partial(build_biasing_density, model, *fixed, threshold_relax=config.threshold_relax)
+        for _, model in models
+    ]
+    keys = [(1, key) for key, _ in models]
+    builds = list(_run_units(config.seed, keys, [config.m] * len(models), calls))
     report.density_reports = builds[:-1]
     report.reference_report = builds[-1]
     report.timings["build_densities_s"] = time.perf_counter() - t0
@@ -414,10 +414,9 @@ def _build_phase(config: ExperimentConfig, benchmark: Benchmark, report: Campaig
 
 def _estimate_phase(config: ExperimentConfig, benchmark: Benchmark, report: CampaignReport):
     t0 = time.perf_counter()
-    hf = benchmark.high_fidelity
-    ls = benchmark.limit_state
-    nominal = benchmark.nominal
+    fixed = (benchmark.high_fidelity, benchmark.limit_state, benchmark.nominal)
     densities = [r.density for r in report.density_reports]
+    q_ref = report.reference_report.density
     k = len(densities)
     density_ids = [f"q{i + 1}" for i in range(k)]
     estimator_ids = [*density_ids, "fused", "nominal", "q_ref"]
@@ -431,30 +430,26 @@ def _estimate_phase(config: ExperimentConfig, benchmark: Benchmark, report: Camp
             ]
             continue
         splits = _split_budget(n_total, k)
-        slots = k + 2
         reps = range(config.repetitions)
-        slot_keys = [*range(k), 900, 901]  # IS on each density, then MC and q_ref
-        seeds = _stream(config.seed, [(2, n_idx, rep, s) for rep in reps for s in slot_keys])
-
-        def estimate(rep, slot):
-            rng = _generator(seeds[rep * slots + slot])
-            if slot < k:
-                return importance_sampling_estimate(
-                    hf, ls, nominal, densities[slot], splits[slot], rng, density_ids[slot]
-                )
-            if slot == k:
-                return monte_carlo_estimate(hf, ls, nominal, n_total, rng, "nominal")
-            return importance_sampling_estimate(
-                hf, ls, nominal, report.reference_report.density, n_total, rng, "q_ref"
-            )
-
-        done = _in_lanes(
-            (partial(estimate, rep, slot) for rep in reps for slot in range(slots)),
+        # IS on each density, then MC on the nominal and IS on the reference
+        slots = [
+            *(
+                partial(importance_sampling_estimate, *fixed, q, n, density_id=i)
+                for q, n, i in zip(densities, splits, density_ids)
+            ),
+            partial(monte_carlo_estimate, *fixed, n_total, density_id="nominal"),
+            partial(importance_sampling_estimate, *fixed, q_ref, n_total, density_id="q_ref"),
+        ]
+        slot_keys = [*range(k), 900, 901]
+        done = _run_units(
+            config.seed,
+            [(2, n_idx, rep, s) for rep in reps for s in slot_keys],
             [*splits, n_total, n_total] * len(reps),
+            (call for _ in reps for call in slots),
         )
         per_rep: dict[str, list[dict]] = {e: [] for e in estimator_ids}
         for rep in reps:
-            results = [next(done) for _ in range(slots)]
+            results = [next(done) for _ in slots]
             fused = fuse(results[:k])
             hf_evaluations += sum(res.model_evals for res in results)
 
@@ -508,23 +503,18 @@ def _estimate_phase(config: ExperimentConfig, benchmark: Benchmark, report: Camp
 
 def _subset_phase(config: ExperimentConfig, benchmark: Benchmark, report: CampaignReport):
     t0 = time.perf_counter()
-    seeds = _stream(config.seed, [(3, rep) for rep in range(config.repetitions)])
-    for rep in range(config.repetitions):
-        result = subset_simulation(
-            benchmark.high_fidelity,
-            benchmark.limit_state,
-            benchmark.nominal,
-            config.subset.N,
-            config.subset.p0,
-            config.subset.max_levels,
-            _generator(seeds[rep]),
-        )
+    fixed = (benchmark.high_fidelity, benchmark.limit_state, benchmark.nominal)
+    sub = config.subset
+    run = partial(subset_simulation, *fixed, sub.N, sub.p0, sub.max_levels)
+    keys = [(3, rep) for rep in range(config.repetitions)]
+    results = _run_units(config.seed, keys, [sub.N] * len(keys), [run] * len(keys))
+    for rep, result in enumerate(results):
         report.subset_rows.append(
             {
                 "config_hash": report.config_hash,
                 "seed": config.seed,
                 "repetition": rep,
-                **_subset_row(result, config.subset.N),
+                **_subset_row(result, sub.N),
             }
         )
         report.subset_levels.append(result.level_stats)

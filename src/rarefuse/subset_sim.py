@@ -158,7 +158,9 @@ def subset_simulation(
     approximation: cv^2 = sum_j (1-p_j)/(N p_j) * (1+gamma_j) with gamma_j
     from :func:`_chain_correlation_factor` (0 at the independent first
     level).  A run that exhausts ``max_levels`` before reaching the true
-    failure threshold is flagged ``converged=False`` with approx_cv inf.
+    failure threshold, or stalls at a level whose ``p_level`` is 1 (its
+    chains could only repeat it), stops there and is flagged
+    ``converged=False`` with approx_cv inf.
     """
     if N < 100:
         raise ValueError("N must be >= 100")
@@ -196,15 +198,16 @@ def subset_simulation(
                 "g_max": float(g_vals.max()),
             }
         )
-        if converged or len(stats) >= max_levels:
+        # a level whose every sample is a seed grows into the same set again
+        if converged or len(stats) >= max_levels or n_seeds == N:
             break
         grid, g_grid, filled = _grow_chains(
             grid[seed_mask], g_grid[seed_mask], b, N, PROPOSAL_WIDTH, rng, g_of_points
         )
         total_evals += N - n_seeds
 
-    # a run stopped by max_levels never reached the true failure threshold,
-    # so its last level counts g < 0, not g <= its threshold
+    # a run stopped by max_levels or by a stall never reached the true failure
+    # threshold, so its last level counts g < 0, not g <= its threshold
     p_fail = stats[-1]["failures"] / N
     approx_cv = math.inf
     if converged and p_fail > 0.0:  # so every level's p_level is positive

@@ -128,7 +128,7 @@ def subset_simulation_loop(model, ls, nominal, N, p0, max_levels, rng) -> Subset
     chains of the next level grow in lockstep from the seeds, one
     ``_metropolis_move`` per step, and gamma comes from
     :func:`chain_correlation_factor_loop`.  The squared CV terms are summed
-    as the levels are made.
+    as the levels are made.  A level whose every sample is a seed ends the run.
     """
 
     def g_of_points(u):
@@ -164,7 +164,7 @@ def subset_simulation_loop(model, ls, nominal, N, p0, max_levels, rng) -> Subset
                 "g_max": float(g_vals.max()),
             }
         )
-        if converged or level >= max_levels:
+        if converged or level >= max_levels or p_level == 1.0:  # a stall repeats the level
             break
         seeds_u, seeds_g = points[seed_mask], g_vals[seed_mask]
         n_seeds = seeds_g.size

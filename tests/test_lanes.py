@@ -1,7 +1,7 @@
-"""The runner's two lanes: independent units of a phase run on the calling
-thread and one more when some unit spans more than ``_LANE_CHUNKS``
-chunks, with results and errors as a serial loop would give them, and
-model calls never overlapping."""
+"""The runner's seeded units and two lanes: each phase seeds its units in
+one ``_stream`` call, and they run on the calling thread and one more when
+some unit spans more than ``_LANE_CHUNKS`` chunks, with results and errors
+as a serial loop would give them, and model calls never overlapping."""
 
 import dataclasses
 import sys
@@ -9,7 +9,9 @@ import threading
 import time
 import types
 
+import numpy as np
 import pytest
+from numpy.random import SeedSequence
 
 import rarefuse.cli as cli
 import rarefuse.estimators as est
@@ -74,6 +76,23 @@ class TestInLanes:
         assert order == [0, 1, 2]
         assert started == []
 
+    def test_run_units_seeds_each_call_by_its_key_as_it_runs(self, started):
+        keys = [(5, i) for i in range(3)]
+        log = []
+
+        def calls():
+            for i in range(3):
+                log.append(("made", i))
+                yield lambda rng, i=i: log.append(("ran", i)) or rng.random()
+
+        results = cli._run_units(3, keys, [L, 1, L], calls())
+        assert log == []
+        expected = [np.random.default_rng(SeedSequence(3, spawn_key=k)).random() for k in keys]
+        assert next(results) == expected[0]
+        assert log == [("made", 0), ("ran", 0)]  # a serial phase holds one unit at a time
+        assert list(results) == expected[1:]
+        assert started == []
+
     @pytest.mark.parametrize("raising", [(1, 3), (2, 3), (0, 1, 2, 3)])
     def test_lowest_index_error_raised_as_in_a_serial_loop(self, raising):
         # lanes: this thread runs units 0 and 3, the other units 1 and 2
@@ -121,6 +140,26 @@ def test_small_configs_start_no_thread(tmp_path, monkeypatch, name):
     doc = dict(SMALL_CONFIGS[name], seed=3, output_dir=str(tmp_path / "out"))
     report = run_experiment(ExperimentConfig.from_dict(doc))
     assert len(report.estimator_rows) == len(doc["n_grid"]) * doc["repetitions"] * 5
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_CONFIGS))
+def test_one_stream_call_per_phase(tmp_path, monkeypatch, name):
+    """The builds, each budget and the subset repetitions are each seeded
+    by one ``_stream`` call over all their units: 6 calls for
+    readme-arrhenius, 5 for is-many-small-arrhenius (no subset phase)."""
+    stream, keys_per_call = cli._stream, []
+
+    def counted(seed, keys):
+        keys_per_call.append(len(keys))
+        return stream(seed, keys)
+
+    monkeypatch.setattr(cli, "_stream", counted)
+    doc = dict(SMALL_CONFIGS[name], seed=3, output_dir=str(tmp_path / "out"))
+    run_experiment(ExperimentConfig.from_dict(doc))
+    k, reps = len(get_benchmark(doc["benchmark"]).surrogates), doc["repetitions"]
+    subset = [reps] if doc["mode"] == "all" else []
+    assert keys_per_call == [k + 1, *[reps * (k + 2)] * len(doc["n_grid"]), *subset]
+    assert len(keys_per_call) == {"readme-arrhenius": 6, "is-many-small-arrhenius": 5}[name]
 
 
 def test_model_calls_never_overlap_and_count_every_point(tmp_path, monkeypatch, started):
@@ -174,20 +213,23 @@ def test_model_calls_never_overlap_and_count_every_point(tmp_path, monkeypatch, 
     assert hf.points == report.budget["actual_hf_evaluations"] + config.m
 
 
-def test_two_lane_bulk_run_byte_identical_to_serial(tmp_path, monkeypatch):
+def test_two_lane_bulk_run_byte_identical_to_serial(tmp_path, monkeypatch, started):
     doc = {
         "benchmark": "linear-gaussian-2.5",
-        "mode": "fuse",
+        "mode": "all",
         "m": 2 * L + 5,
         "n_grid": [L // 2, 2 * L + 1],
         "repetitions": 2,
         "seed": 7,
+        "subset": {"N": L + 1},
     }
 
     def run(name):
         return run_experiment(ExperimentConfig.from_dict(dict(doc, output_dir=str(tmp_path / name))))
 
     lanes = run("lanes")
+    # the builds, the larger budget and the subset runs each take two lanes
+    assert len(started) == 3
     monkeypatch.setattr(cli, "_in_lanes", lambda units, points: (unit() for unit in units))
     serial = run("serial")
     assert lanes.files == serial.files

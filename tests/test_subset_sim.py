@@ -165,6 +165,24 @@ class TestSubsetSimulation:
         assert res.levels == 2
         assert math.isinf(res.approx_cv)
 
+    def test_stall_stops_at_the_first_level_of_all_seeds(self):
+        # every sample of level 6 is a seed, so its chains could only grow
+        # the same set again; the run stops there, whatever max_levels allows
+        b = get_benchmark("linear-gaussian")
+        runs = [
+            subset_simulation(
+                b.high_fidelity, b.limit_state, b.nominal, 700, 0.15, max_levels,
+                np.random.default_rng(1),
+            )
+            for max_levels in (12, 20)
+        ]
+        assert runs[0] == runs[1]
+        res = runs[0]
+        assert (res.levels, res.total_model_evals, res.converged) == (6, 3536, False)
+        assert [s["p_level"] for s in res.level_stats][4:] == [216 / 700, 1.0]
+        assert math.isinf(res.approx_cv)
+        assert res.estimate == 0.15**5 * res.level_stats[-1]["failures"] / 700 > 0.0
+
     def test_first_level_record_describes_the_nominal_draws(self):
         # level 1 is the first N unit-cube draws of the generator, mapped to
         # the input space; its record counts their failures and largest g
