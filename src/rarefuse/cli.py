@@ -29,7 +29,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import estimators
 from .estimators import cv, importance_sampling_estimate, monte_carlo_estimate, rmse
 from .fusion import fuse
 from .mfis import BiasingBuildReport, build_biasing_density
@@ -163,12 +162,15 @@ class ExperimentConfig:
         if not isinstance(self.output_dir, str):
             raise ConfigError(f"output_dir must be a string, got {self.output_dir!r}")
         relax = self.threshold_relax
-        if relax is not None and (
-            isinstance(relax, bool)
-            or not isinstance(relax, (int, float))
-            or not (math.isfinite(relax) and relax >= 0)
-        ):
-            raise ConfigError(f"threshold_relax must be a finite number >= 0, got {relax!r}")
+        if relax is not None:
+            number = isinstance(relax, (int, float)) and not isinstance(relax, bool)
+            try:  # stored as a float, so 1 and 1.0 hash alike
+                value = float(relax) if number else math.nan
+            except OverflowError:  # an integer past the float range
+                raise ConfigError("threshold_relax is too large for a float") from None
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigError(f"threshold_relax must be a finite number >= 0, got {relax!r}")
+            object.__setattr__(self, "threshold_relax", value)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
@@ -199,7 +201,7 @@ class ExperimentConfig:
     def from_file(cls, path) -> "ExperimentConfig":
         try:
             doc = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: bad JSON, or too many digits
             raise ConfigError(f"cannot read config {path}: {exc}") from None
         return cls.from_dict(doc)
 
@@ -288,68 +290,52 @@ def _generator(words) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(_Seeded(words)))
 
 
-# A phase takes a second lane only when one of its units spans more than
-# this many chunks.  Below that the thread costs more than the overlap
+# A phase takes a second lane only when its largest unit draws more than
+# this many points.  Below that the thread costs more than the overlap
 # saves: two lanes for density builds of 20000 points left run times within
 # noise and raised peak RSS by about 1 MB, the malloc arena of the thread
 # (gone with MALLOC_ARENA_MAX=1).
-_LANE_CHUNKS = 4
+_LANE_POINTS = 1 << 16
 
 
-def _in_lanes(units, points: list[int]):
-    """Call the zero-argument ``units`` of a phase (its density builds, one
-    budget's estimator calls, or its subset runs); returns an iterator over
-    their results in input order.
+def _run_units(seed: int, keys: list, calls, points: int):
+    """Run unit i of a phase (a density build, one budget's estimator call
+    or a subset run) as ``calls[i](rng)``, seeded by spawn key ``keys[i]``;
+    returns an iterator over the results in input order.
 
-    ``points[i]`` is the number of points unit i draws.  When some unit
-    spans more than ``_LANE_CHUNKS`` chunks (``estimators._CHUNK``), the
-    units run in two lanes, this thread and one more, since NumPy releases
-    the GIL in its bulk kernels: each goes, longest first, to the lane with
-    fewer points so far (ties to this thread).  Otherwise no thread starts
-    and each unit runs here as its result is read, as in a plain loop.  A
-    unit's result must not depend on when it runs: ``_run_units`` gives
-    each its own generator.  In two lanes, if units raise, every unit
-    still runs, and the error of the lowest-index one is raised, as a
-    serial loop would.
+    One ``_stream`` call seeds the phase, and each unit builds its
+    generator when it runs, so a result does not depend on when or where
+    its unit runs.  When the phase's largest unit draws more than
+    ``_LANE_POINTS`` points (``points``), the units run in two lanes, this
+    thread and one more, since NumPy releases the GIL in its bulk kernels:
+    each lane takes the next unit as it comes free.  If units raise, every
+    unit still runs, and the error of the lowest-index one is raised, as a
+    serial loop would.  Otherwise no thread starts and each unit runs here
+    as its result is read, so a lazy ``calls`` keeps a serial phase to one
+    unit at a time.
     """
-    if max(points, default=0) <= _LANE_CHUNKS * estimators._CHUNK:
-        return (unit() for unit in units)
-    units = list(units)
-    lanes, loads = ([], []), [0, 0]
-    for i in sorted(range(len(units)), key=lambda i: -points[i]):
-        lane = 0 if loads[0] <= loads[1] else 1
-        lanes[lane].append(i)
-        loads[lane] += points[i]
-    results = [None] * len(units)
-    errors = {}
+    units = zip(calls, _stream(seed, keys))
+    if points <= _LANE_POINTS:
+        return (call(_generator(words)) for call, words in units)
+    units = iter(list(enumerate(units)))  # both lanes take from it; next() holds the GIL
+    results, errors = [None] * len(keys), {}
 
-    def run(lane):
-        for i in lane:
+    def lane():
+        for i, (call, words) in units:
             try:
-                results[i] = units[i]()
+                results[i] = call(_generator(words))
             except Exception as exc:
                 errors[i] = exc
 
-    other = threading.Thread(target=run, args=(lanes[1],))
+    other = threading.Thread(target=lane)
     other.start()
     try:
-        run(lanes[0])
+        lane()
     finally:
         other.join()
     if errors:
         raise errors[min(errors)]
     return iter(results)
-
-
-def _run_units(seed: int, keys: list, points: list[int], calls):
-    """Run unit i of a phase as ``calls[i](rng)``, seeded by spawn key
-    ``keys[i]`` and scheduled by its ``points[i]`` (``_in_lanes``); returns
-    an iterator over the results in input order.  One ``_stream`` call seeds
-    the phase; each unit builds its generator when it runs, and a lazy
-    ``calls`` keeps a serial phase to one unit at a time."""
-    seeds = _stream(seed, keys)
-    units = (lambda c=call, w=words: c(_generator(w)) for call, words in zip(calls, seeds))
-    return _in_lanes(units, points)
 
 
 class _OneAtATime:
@@ -406,7 +392,7 @@ def _build_phase(config: ExperimentConfig, benchmark: Benchmark, report: Campaig
         for _, model in models
     ]
     keys = [(1, key) for key, _ in models]
-    builds = list(_run_units(config.seed, keys, [config.m] * len(models), calls))
+    builds = list(_run_units(config.seed, keys, calls, config.m))
     report.density_reports = builds[:-1]
     report.reference_report = builds[-1]
     report.timings["build_densities_s"] = time.perf_counter() - t0
@@ -444,8 +430,8 @@ def _estimate_phase(config: ExperimentConfig, benchmark: Benchmark, report: Camp
         done = _run_units(
             config.seed,
             [(2, n_idx, rep, s) for rep in reps for s in slot_keys],
-            [*splits, n_total, n_total] * len(reps),
             (call for _ in reps for call in slots),
+            n_total,
         )
         per_rep: dict[str, list[dict]] = {e: [] for e in estimator_ids}
         for rep in reps:
@@ -507,7 +493,7 @@ def _subset_phase(config: ExperimentConfig, benchmark: Benchmark, report: Campai
     sub = config.subset
     run = partial(subset_simulation, *fixed, sub.N, sub.p0, sub.max_levels)
     keys = [(3, rep) for rep in range(config.repetitions)]
-    results = _run_units(config.seed, keys, [sub.N] * len(keys), [run] * len(keys))
+    results = _run_units(config.seed, keys, [run] * len(keys), sub.N)
     for rep, result in enumerate(results):
         report.subset_rows.append(
             {

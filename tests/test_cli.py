@@ -94,6 +94,7 @@ BAD_VALUES = [
     {"output_dir": 5},
     {"threshold_relax": float("nan")},
     {"threshold_relax": True},
+    {"threshold_relax": 10**400},
     {"benchmark": "B1"},
 ]
 BAD_VALUE_IDS = [
@@ -116,6 +117,7 @@ BAD_VALUE_IDS = [
     "output-dir-number",
     "threshold-relax-nan",
     "threshold-relax-true",
+    "threshold-relax-huge-int",
     "benchmark-alias-B1",
 ]
 
@@ -159,6 +161,10 @@ class TestConfig:
     def test_hash_ignores_output_dir(self):
         a = ExperimentConfig.from_dict({"benchmark": "linear-gaussian", "output_dir": "x"})
         b = ExperimentConfig.from_dict({"benchmark": "linear-gaussian", "output_dir": "y"})
+        assert a.hash() == b.hash()
+
+    def test_hash_same_for_equal_threshold_relax(self):
+        a, b = (ExperimentConfig("linear-gaussian", threshold_relax=r) for r in (1, 1.0))
         assert a.hash() == b.hash()
 
     def test_hash_tracks_parameters(self):
@@ -417,6 +423,14 @@ class TestCommandLine:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"benchmark": "linear-gaussian", "surprise": True}))
         assert main(["run", "--config", str(path)]) == 2
+
+    def test_run_integer_past_the_digit_limit_exit_2(self, tmp_path):
+        # json refuses an integer of more digits than int() converts
+        doc = json.dumps({"benchmark": "linear-gaussian", "output_dir": str(tmp_path / "out")})
+        path = tmp_path / "cfg.json"
+        path.write_text(doc[:-1] + ', "threshold_relax": 1' + "0" * 5000 + "}")
+        assert main(["run", "--config", str(path)]) == 2
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("overrides", BAD_VALUES, ids=BAD_VALUE_IDS)
     def test_run_bad_values_exit_2_before_work(self, tmp_path, overrides, monkeypatch):

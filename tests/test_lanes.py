@@ -1,7 +1,8 @@
 """The runner's seeded units and two lanes: each phase seeds its units in
-one ``_stream`` call, and they run on the calling thread and one more when
-some unit spans more than ``_LANE_CHUNKS`` chunks, with results and errors
-as a serial loop would give them, and model calls never overlapping."""
+one ``_stream`` call, and they run on the calling thread and one more, each
+taking the next unit as it comes free, when the phase's largest unit draws
+more than ``_LANE_POINTS`` points, with results and errors as a serial loop
+would give them, and model calls never overlapping."""
 
 import dataclasses
 import sys
@@ -18,27 +19,34 @@ import rarefuse.estimators as est
 from rarefuse.cli import ExperimentConfig, run_experiment
 from rarefuse.models import get_benchmark
 
-L = cli._LANE_CHUNKS * est._CHUNK  # the most points a unit may draw and stay serial
+L = cli._LANE_POINTS  # the most points a phase's largest unit may draw and stay serial
 
 
-def units_recording_threads(points, raising=()):
-    """One unit per point count; unit i returns i, or raises its own error
-    when i is in ``raising``.  Units record the thread they ran on, and the
-    lowest raising unit waits first, so a higher one raises before it."""
+def calls_recording_threads(n, raising=(), sleeps=None):
+    """``n`` calls; call i sleeps ``sleeps[i]`` seconds and returns i, or
+    raises its own error when i is in ``raising``.  Calls record the thread
+    they ran on, and the lowest raising call waits first, so a higher one
+    raises before it."""
     threads = {}
     errors = {i: RuntimeError(f"unit {i}") for i in raising}
     raised = []
 
-    def unit(i):
+    def call(i):
         threads[i] = threading.get_ident()
+        time.sleep(sleeps[i] if sleeps else 0)
         if i in errors:
             if i == min(errors):
-                time.sleep(0.05)
+                time.sleep(0.1)
             raised.append(i)
             raise errors[i]
         return i
 
-    return [lambda i=i: unit(i) for i in range(len(points))], threads, errors, raised
+    calls = [lambda rng, i=i: call(i) for i in range(n)]
+    return calls, threads, errors, raised
+
+
+def keys(n):
+    return [(5, i) for i in range(n)]
 
 
 @pytest.fixture
@@ -55,29 +63,28 @@ def started(monkeypatch):
     return threads
 
 
-class TestInLanes:
-    def test_results_in_input_order_for_uneven_units(self):
-        points = [L + 1, 7 * L, 3, 2 * L, 5 * L, L, 4 * L]
-        units, threads, _, _ = units_recording_threads(points)
-        assert list(cli._in_lanes(units, points)) == list(range(len(points)))
-        here = threading.get_ident()
-        # longest first to the lane with fewer points so far, ties to this thread
-        assert {i for i, t in threads.items() if t == here} == {0, 1, 3}
-        assert len(set(threads.values())) == 2
+class TestRunUnits:
+    def test_results_in_input_order_for_uneven_units(self, started):
+        sleeps = [0.02, 0.001, 0.03, 0, 0.01, 0.002, 0]
+        calls, threads, _, _ = calls_recording_threads(len(sleeps), sleeps=sleeps)
+        results = cli._run_units(3, keys(len(sleeps)), calls, L + 1)
+        assert list(results) == list(range(len(sleeps)))
+        assert sorted(threads) == list(range(len(sleeps)))
+        assert len(started) == 1
 
     def test_small_units_run_here_as_their_results_are_read(self, started):
-        points = [L, 1, L]
         order = []
-        results = cli._in_lanes((lambda i=i: order.append(i) or i for i in range(3)), points)
+        calls = [lambda rng, i=i: order.append((i, threading.get_ident())) or i for i in range(3)]
+        results = cli._run_units(3, keys(3), calls, L)
         assert order == []
         assert next(results) == 0
-        assert order == [0]
+        here = threading.get_ident()
+        assert order == [(0, here)]
         assert list(results) == [1, 2]
-        assert order == [0, 1, 2]
+        assert order == [(0, here), (1, here), (2, here)]
         assert started == []
 
     def test_run_units_seeds_each_call_by_its_key_as_it_runs(self, started):
-        keys = [(5, i) for i in range(3)]
         log = []
 
         def calls():
@@ -85,9 +92,9 @@ class TestInLanes:
                 log.append(("made", i))
                 yield lambda rng, i=i: log.append(("ran", i)) or rng.random()
 
-        results = cli._run_units(3, keys, [L, 1, L], calls())
+        results = cli._run_units(3, keys(3), calls(), L)
         assert log == []
-        expected = [np.random.default_rng(SeedSequence(3, spawn_key=k)).random() for k in keys]
+        expected = [np.random.default_rng(SeedSequence(3, spawn_key=k)).random() for k in keys(3)]
         assert next(results) == expected[0]
         assert log == [("made", 0), ("ran", 0)]  # a serial phase holds one unit at a time
         assert list(results) == expected[1:]
@@ -95,19 +102,33 @@ class TestInLanes:
 
     @pytest.mark.parametrize("raising", [(1, 3), (2, 3), (0, 1, 2, 3)])
     def test_lowest_index_error_raised_as_in_a_serial_loop(self, raising):
-        # lanes: this thread runs units 0 and 3, the other units 1 and 2
-        points = [4 * L, 3 * L, 2 * L, L + 1]
-        units, threads, errors, raised = units_recording_threads(points, raising)
+        calls, threads, errors, raised = calls_recording_threads(4, raising)
         with pytest.raises(RuntimeError) as serial:
-            [unit() for unit in units]
+            [call(None) for call in calls]
         raised.clear()
         threads.clear()
         with pytest.raises(RuntimeError) as lanes:
-            cli._in_lanes(units, points)
+            cli._run_units(3, keys(4), calls, L + 1)
         assert lanes.value is serial.value is errors[min(raising)]
-        # every unit ran, and a unit raised in each lane
+        # every unit ran, and a higher unit raised before the lowest one
+        assert sorted(threads) == [0, 1, 2, 3]
         assert sorted(raised) == sorted(raising)
-        assert len({threads[i] for i in raised}) == 2
+        assert raised[0] > min(raising)
+
+    def test_each_unit_runs_exactly_once_under_contention(self, monkeypatch, started):
+        monkeypatch.setattr(cli, "_LANE_POINTS", 0)
+        n, ran = 3000, []
+        calls = [lambda rng, i=i: ran.append((i, threading.get_ident())) or i for i in range(n)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = list(cli._run_units(3, keys(n), calls, 1))
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == list(range(n))
+        assert sorted(i for i, _ in ran) == list(range(n))
+        assert len(started) == 1
+        assert len({thread for _, thread in ran}) == 2
 
 
 SMALL_CONFIGS = {
@@ -163,7 +184,8 @@ def test_one_stream_call_per_phase(tmp_path, monkeypatch, name):
 
 
 def test_model_calls_never_overlap_and_count_every_point(tmp_path, monkeypatch, started):
-    monkeypatch.setattr(est, "_CHUNK", 256)  # every unit below takes two lanes
+    monkeypatch.setattr(cli, "_LANE_POINTS", 1024)  # every phase below takes two lanes
+    monkeypatch.setattr(est, "_CHUNK", 256)  # and each unit makes many model calls
     bench = get_benchmark("linear-gaussian-2.5")
     active, overlaps = [], []
     hf = types.SimpleNamespace(points=0)
@@ -230,8 +252,9 @@ def test_two_lane_bulk_run_byte_identical_to_serial(tmp_path, monkeypatch, start
     lanes = run("lanes")
     # the builds, the larger budget and the subset runs each take two lanes
     assert len(started) == 3
-    monkeypatch.setattr(cli, "_in_lanes", lambda units, points: (unit() for unit in units))
+    monkeypatch.setattr(cli, "_LANE_POINTS", doc["m"])  # no phase takes two lanes
     serial = run("serial")
+    assert len(started) == 3
     assert lanes.files == serial.files
     for name in lanes.files:
         if name != "report.json":  # its timings and output_dir differ
