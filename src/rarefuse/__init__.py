@@ -12,7 +12,6 @@ from .densities import (
     GaussianMixture,
     InsufficientSamplesError,
     UniformBox,
-    density_from_dict,
     fit_gaussian,
 )
 from .estimators import (
@@ -51,7 +50,6 @@ __all__ = [
     "UniformBox",
     "GaussianMixture",
     "fit_gaussian",
-    "density_from_dict",
     "InsufficientSamplesError",
     "Model",
     "LimitState",

@@ -106,12 +106,17 @@ class ConfigError(ValueError):
     """Invalid experiment configuration."""
 
 
-def _require_count(name: str, value, minimum: int) -> None:
+_MAX_SIZE = 2**63 - 1  # NumPy's largest array size bounds every count of draws
+
+
+def _require_count(name: str, value, minimum: int, maximum: float = math.inf) -> None:
     # counts must be JSON integers; bool is an int subclass but not a count
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise ConfigError(f"{name} must be >= {minimum}")
+    if value > maximum:
+        raise ConfigError(f"{name} must be <= {maximum}")
 
 
 @dataclass(frozen=True)
@@ -121,7 +126,7 @@ class SubsetSettings:
     max_levels: int = 12
 
     def __post_init__(self):
-        _require_count("subset.N", self.N, 100)
+        _require_count("subset.N", self.N, 100, _MAX_SIZE)
         _require_count("subset.max_levels", self.max_levels, 1)
         if not 0.0 < self.p0 < 1.0:
             raise ConfigError("subset.p0 must lie strictly between 0 and 1")
@@ -148,13 +153,14 @@ class ExperimentConfig:
             )
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        _require_count("m", self.m, 0)
+        _require_count("m", self.m, 0, _MAX_SIZE)
         _require_count("seed", self.seed, 0)
-        _require_count("repetitions", self.repetitions, 1)
+        # each repetition index is one 32-bit spawn-key word in _stream
+        _require_count("repetitions", self.repetitions, 1, 2**32)
         if not self.n_grid:
             raise ConfigError("n_grid must be nonempty")
         for n in self.n_grid:
-            _require_count("n_grid entry", n, 1)
+            _require_count("n_grid entry", n, 1, _MAX_SIZE)
         if any(a >= b for a, b in zip(self.n_grid, self.n_grid[1:])):
             raise ConfigError("n_grid must be strictly ascending")
         if self.split != "equal":

@@ -39,7 +39,6 @@ __all__ = [
     "UniformBox",
     "GaussianMixture",
     "fit_gaussian",
-    "density_from_dict",
     "InsufficientSamplesError",
     "DEFAULT_REGULARIZATION",
 ]
@@ -120,13 +119,6 @@ class UniformBox:
             "lower": self.lower.tolist(),
             "upper": self.upper.tolist(),
         }
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, UniformBox)
-            and np.array_equal(self.lower, other.lower)
-            and np.array_equal(self.upper, other.upper)
-        )
 
     def __repr__(self):
         return f"UniformBox(lower={self.lower.tolist()}, upper={self.upper.tolist()})"
@@ -226,13 +218,6 @@ class GaussianMixture:
             ],
         }
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, GaussianMixture)
-            and np.array_equal(self.mean, other.mean)
-            and np.array_equal(self.covariance, other.covariance)
-        )
-
     def __repr__(self):
         return f"GaussianMixture(d={self.d})"
 
@@ -272,15 +257,3 @@ def fit_gaussian(samples) -> GaussianMixture:
     cov = 0.5 * (cov + cov.T)
     cov[np.diag_indices(d)] *= 1.0 + DEFAULT_REGULARIZATION
     return GaussianMixture([(1.0, mean, cov)])
-
-
-def density_from_dict(doc: dict):
-    """Rebuild a density from its dict form (see ``to_dict``)."""
-    kind = doc.get("type")
-    if kind == "uniform_box":
-        return UniformBox(doc["lower"], doc["upper"])
-    if kind == "gaussian_mixture":
-        comps = [(c["weight"], c["mean"], c["covariance"]) for c in doc["components"]]
-        return GaussianMixture(comps)
-    raise ValueError(f"unknown density type: {kind!r}")
-

@@ -190,9 +190,10 @@ def importance_sampling_estimate(
     Draws from ``biasing`` and averages I(failure) * p(z)/q(z).  Samples
     where the nominal density vanishes lie outside the input domain, carry
     zero weight, and skip the model evaluation entirely.  The biasing
-    density must have full support (its ``full_support`` flag is set) or
-    equal the nominal density; in the latter case the ratio is 1 and the
-    nominal pdf is not evaluated a second time.
+    density must have full support (its ``full_support`` flag is set), or
+    be the nominal density itself, as a fallback build returns it: then
+    every hit weight is exactly 1, the hits are counted on the draws and
+    model calls of ``monte_carlo_estimate``, and no pdf is evaluated.
 
     Raises
     ------
@@ -202,45 +203,48 @@ def importance_sampling_estimate(
     """
     if n < 2:
         raise ValueError("n must be >= 2 for the unbiased sample variance")
-    same = biasing is nominal or biasing == nominal
-    if not biasing.full_support and not same:
+    if biasing is nominal:
+        hits = monte_carlo_estimate(model, ls, nominal, n, rng).hits
+        hit_chunks, evals = [np.ones(hits)], n
+        low = high = 1.0  # the extreme hit weights
+    elif not biasing.full_support:
         raise ValueError(
-            "biasing density must have full support or equal the nominal density"
+            "biasing density must have full support, or be the nominal density itself"
         )
-
-    hit_chunks = []  # p/q at the failing draws of each chunk; every other weight is 0
-    hits = evals = 0
-    low, high = math.inf, 0.0  # the extreme hit weights
-    for batch in _batches(n):
-        pts = biasing.sample(rng, batch)
-        q_vals = biasing.pdf(pts)
-        if (q_vals <= 0.0).any():
-            raise BrokenBiasingDensityError(
-                "biasing density evaluated to 0 at one of its own samples"
-            )
-        p_vals = q_vals if same else nominal.pdf(pts)
-        inside = p_vals > 0.0
-        n_inside = int(np.count_nonzero(inside))
-        evals += n_inside
-        if n_inside == batch:
-            failed = ls.evaluate(model.evaluate(pts)) < 0.0
-        else:
-            failed = np.zeros(batch, dtype=bool)
-            if n_inside:
-                failed[inside] = ls.evaluate(model.evaluate(pts[inside])) < 0.0
-        if not failed.any():
-            continue
-        with np.errstate(over="ignore", invalid="ignore"):  # refused just below
-            ratio = p_vals[failed] / q_vals[failed]
-        bad = int(np.count_nonzero(~np.isfinite(ratio)))
-        if bad:
-            raise BrokenBiasingDensityError(
-                f"{bad} non-finite importance weight(s) p/q out of {ratio.size} "
-                "failure samples"
-            )
-        hit_chunks.append(ratio)
-        hits += ratio.size
-        low, high = min(low, ratio.min()), max(high, ratio.max())
+    else:
+        hit_chunks = []  # p/q at the failing draws of each chunk; every other weight is 0
+        hits = evals = 0
+        low, high = math.inf, 0.0  # the extreme hit weights
+        for batch in _batches(n):
+            pts = biasing.sample(rng, batch)
+            q_vals = biasing.pdf(pts)
+            if (q_vals <= 0.0).any():
+                raise BrokenBiasingDensityError(
+                    "biasing density evaluated to 0 at one of its own samples"
+                )
+            p_vals = nominal.pdf(pts)
+            inside = p_vals > 0.0
+            n_inside = int(np.count_nonzero(inside))
+            evals += n_inside
+            if n_inside == batch:
+                failed = ls.evaluate(model.evaluate(pts)) < 0.0
+            else:
+                failed = np.zeros(batch, dtype=bool)
+                if n_inside:
+                    failed[inside] = ls.evaluate(model.evaluate(pts[inside])) < 0.0
+            if not failed.any():
+                continue
+            with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+                ratio = p_vals[failed] / q_vals[failed]
+            bad = int(np.count_nonzero(~np.isfinite(ratio)))
+            if bad:
+                raise BrokenBiasingDensityError(
+                    f"{bad} non-finite importance weight(s) p/q out of {ratio.size} "
+                    "failure samples"
+                )
+            hit_chunks.append(ratio)
+            hits += ratio.size
+            low, high = min(low, ratio.min()), max(high, ratio.max())
 
     try:
         estimate = _exact_sum(hit_chunks) / n

@@ -96,6 +96,11 @@ BAD_VALUES = [
     {"threshold_relax": True},
     {"threshold_relax": 10**400},
     {"benchmark": "B1"},
+    {"m": 10**400},
+    {"m": 2**63},
+    {"n_grid": [2**63]},
+    {"subset": {"N": 2**63}},
+    {"repetitions": 2**32 + 1},
 ]
 BAD_VALUE_IDS = [
     "unknown-benchmark",
@@ -119,6 +124,11 @@ BAD_VALUE_IDS = [
     "threshold-relax-true",
     "threshold-relax-huge-int",
     "benchmark-alias-B1",
+    "m-huge-int",
+    "m-2-63",
+    "n-grid-2-63",
+    "subset-N-2-63",
+    "repetitions-2-32-plus-1",
 ]
 
 
@@ -152,6 +162,15 @@ class TestConfig:
     def test_repetitions_validated(self):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({"benchmark": "linear-gaussian", "repetitions": 0})
+
+    def test_counts_at_their_bounds_accepted(self):
+        # validation only: nothing is drawn; seed has no upper bound
+        big = 2**63 - 1
+        c = ExperimentConfig.from_dict({
+            "benchmark": "linear-gaussian", "m": big, "n_grid": [big],
+            "repetitions": 2**32, "seed": 2**170, "subset": {"N": big},
+        })
+        assert (c.m, c.n_grid, c.repetitions, c.subset.N) == (big, (big,), 2**32, big)
 
     @pytest.mark.parametrize("overrides", BAD_VALUES, ids=BAD_VALUE_IDS)
     def test_bad_values_rejected(self, overrides):

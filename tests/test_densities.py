@@ -10,7 +10,6 @@ from rarefuse.densities import (
     GaussianMixture,
     InsufficientSamplesError,
     UniformBox,
-    density_from_dict,
     fit_gaussian,
 )
 from rarefuse.estimators import _CHUNK
@@ -416,21 +415,19 @@ class TestColumnMajorBatches:
 
 
 class TestSerialization:
-    def test_uniform_roundtrip(self):
-        box = UniformBox([0.25, -1.5], [2.0, 3.5])
-        doc = json.dumps(box.to_dict())
-        assert density_from_dict(json.loads(doc)) == box
+    def test_uniform_fields(self):
+        doc = json.loads(json.dumps(UniformBox([0.25, -1.5], [2.0, 3.5]).to_dict()))
+        assert doc == {"type": "uniform_box", "lower": [0.25, -1.5], "upper": [2.0, 3.5]}
 
-    def test_mixture_roundtrip(self):
-        gm = GaussianMixture([(1.0, [2.0, 2.0], [[2.0, 0.3], [0.3, 1.0]])])
-        doc = json.dumps(gm.to_dict())
-        assert density_from_dict(json.loads(doc)) == gm
+    def test_mixture_fields(self):
+        cov = [[2.0, 0.3], [0.3, 1.0]]
+        gm = GaussianMixture([(1.0, [2.0, 2.0], cov)])
+        assert json.loads(json.dumps(gm.to_dict())) == {
+            "type": "gaussian_mixture",
+            "components": [{"weight": 1.0, "mean": [2.0, 2.0], "covariance": cov}],
+        }
 
     def test_type_tags(self):
         assert UniformBox([0], [1]).to_dict()["type"] == "uniform_box"
         gm = GaussianMixture([(1.0, [0.0], [[1.0]])])
         assert gm.to_dict()["type"] == "gaussian_mixture"
-
-    def test_unknown_type_rejected(self):
-        with pytest.raises(ValueError, match="unknown density type"):
-            density_from_dict({"type": "cauchy"})

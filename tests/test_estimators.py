@@ -222,20 +222,25 @@ class TestImportanceSampling:
                 np.random.default_rng(0),
             )
 
-    def test_nominal_itself_or_an_equal_copy_accepted(self):
-        # a fallback build hands back the nominal object itself
+    def test_nominal_recognised_by_identity_not_by_value(self):
+        # a fallback build hands back the nominal object itself; an
+        # equal-valued copy is just another density
         b = get_benchmark("arrhenius-2d")
         copy = UniformBox(b.nominal.lower, b.nominal.upper)
-        assert copy is not b.nominal and copy == b.nominal
+        with pytest.raises(ValueError, match="full support"):
+            importance_sampling_estimate(
+                b.high_fidelity, b.limit_state, b.nominal, copy, 3000, np.random.default_rng(4)
+            )
+        # an equal Gaussian copy takes the pdf path, where q/q is exactly 1
+        g = make_linear_gaussian(beta=2.5)
+        copy = GaussianMixture([(1.0, g.nominal.mean, g.nominal.covariance)])
         same, equal = (
             importance_sampling_estimate(
-                b.high_fidelity, b.limit_state, b.nominal, q, 3000, np.random.default_rng(4)
+                g.high_fidelity, g.limit_state, g.nominal, q, 3000, np.random.default_rng(4)
             )
-            for q in (b.nominal, copy)
+            for q in (g.nominal, copy)
         )
-        assert (same.estimate, same.sample_variance, same.hits) == (
-            equal.estimate, equal.sample_variance, equal.hits,
-        )
+        assert same == equal
         assert same.hits > 0
 
     def test_declared_full_support_accepted(self):
@@ -292,6 +297,52 @@ class TestImportanceSampling:
             r = run()
             assert r.estimate == baseline.estimate
             assert r.sample_variance == baseline.sample_variance
+
+
+class TestHighDimensionalFallback:
+    """A standard normal nominal's pdf underflows to 0 at most of its own
+    draws from d of about 530 on, and at all of them from about 600; IS on
+    the nominal itself evaluates no pdf."""
+
+    P = float(ndtr(-2.5))
+
+    def mean_within_3_se(self, results):
+        mean = sum(r.estimate for r in results) / len(results)
+        se = math.sqrt(sum(r.variance for r in results)) / len(results)
+        assert abs(mean - self.P) < 3.0 * se
+
+    def test_fallback_build_at_d700(self):
+        b = make_linear_gaussian(beta=2.5, d=700)
+        build = build_biasing_density(
+            b.surrogates[0], b.limit_state, b.nominal, 20000, np.random.default_rng(1)
+        )
+        assert build.fell_back_to_nominal and build.density is b.nominal
+        assert b.nominal.pdf(b.nominal.sample(np.random.default_rng(0), 5)).max() == 0.0
+        self.mean_within_3_se([
+            importance_sampling_estimate(
+                b.high_fidelity, b.limit_state, b.nominal, build.density, 1000,
+                np.random.default_rng(seed),
+            )
+            for seed in range(20)
+        ])
+
+    def test_nominal_at_d1500(self):
+        b = make_linear_gaussian(beta=2.5, d=1500)
+        self.mean_within_3_se([
+            importance_sampling_estimate(
+                b.high_fidelity, b.limit_state, b.nominal, b.nominal, 1000,
+                np.random.default_rng(seed),
+            )
+            for seed in range(10)
+        ])
+
+    def test_fitted_density_whose_pdf_underflows_still_refused(self):
+        b = make_linear_gaussian(beta=2.5, d=700)
+        q = fit_gaussian(b.nominal.sample(np.random.default_rng(2), 1000))
+        with pytest.raises(BrokenBiasingDensityError, match="evaluated to 0"):
+            importance_sampling_estimate(
+                b.high_fidelity, b.limit_state, b.nominal, q, 100, np.random.default_rng(3)
+            )
 
 
 class TestNonFiniteWeights:
@@ -503,7 +554,7 @@ class TestAgainstReferenceLoop:
         assert 0 < r.model_evals < r.n
 
     @pytest.mark.parametrize("name", ["linear-gaussian-2.5", "arrhenius-2d"])
-    def test_biasing_equal_to_nominal_calls_pdf_once_per_chunk(self, monkeypatch, name):
+    def test_nominal_biasing_calls_no_pdf(self, monkeypatch, name):
         b = get_benchmark(name)
         cls = type(b.nominal)
         calls = []
@@ -519,7 +570,7 @@ class TestAgainstReferenceLoop:
             b.high_fidelity, b.limit_state, b.nominal, b.nominal, self.N,
             np.random.default_rng(3),
         )
-        assert calls == [1000, 1000, 500]
+        assert calls == []
         monkeypatch.setattr(cls, "pdf", original)
         ref = importance_sampling_loop(
             b.high_fidelity, b.limit_state, b.nominal, b.nominal, self.N,
