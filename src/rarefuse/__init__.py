@@ -8,72 +8,19 @@ desk-scale benchmarks whose failure probabilities have independent
 oracles.
 """
 
-from .densities import (
-    GaussianMixture,
-    InsufficientSamplesError,
-    UniformBox,
-    fit_gaussian,
-)
-from .estimators import (
-    EstimatorResult,
-    cv,
-    importance_sampling_estimate,
-    monte_carlo_estimate,
-    rmse,
-    theoretical_mc_cv,
-)
-from .fusion import (
-    CovarianceMatrix,
-    FusedResult,
-    SingularCovarianceError,
-    dominance_criterion,
-    fuse,
-    optimal_weights,
-    optimal_weights_diagonal,
-)
-from .mfis import BiasingBuildReport, build_biasing_density
-from .models import (
-    Benchmark,
-    LimitState,
-    Model,
-    benchmark_names,
-    get_benchmark,
-    make_arrhenius_2d,
-    make_linear_gaussian,
-    oracle_failure_probability,
-)
-from .subset_sim import SubsetResult, subset_simulation
+from . import densities, estimators, fusion, mfis, models, subset_sim
+from .densities import *  # noqa: F401,F403
+from .estimators import *  # noqa: F401,F403
+from .fusion import *  # noqa: F401,F403
+from .mfis import *  # noqa: F401,F403
+from .models import *  # noqa: F401,F403
+from .subset_sim import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
+# each public name is declared once, in its own module's __all__
 __all__ = [
-    "UniformBox",
-    "GaussianMixture",
-    "fit_gaussian",
-    "InsufficientSamplesError",
-    "Model",
-    "LimitState",
-    "Benchmark",
-    "oracle_failure_probability",
-    "make_linear_gaussian",
-    "make_arrhenius_2d",
-    "get_benchmark",
-    "benchmark_names",
-    "BiasingBuildReport",
-    "build_biasing_density",
-    "EstimatorResult",
-    "monte_carlo_estimate",
-    "importance_sampling_estimate",
-    "rmse",
-    "cv",
-    "theoretical_mc_cv",
-    "CovarianceMatrix",
-    "FusedResult",
-    "optimal_weights",
-    "optimal_weights_diagonal",
-    "fuse",
-    "dominance_criterion",
-    "SingularCovarianceError",
-    "SubsetResult",
-    "subset_simulation",
+    name
+    for module in (densities, estimators, fusion, mfis, models, subset_sim)
+    for name in module.__all__
 ]

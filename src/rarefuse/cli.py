@@ -47,30 +47,6 @@ __all__ = [
 MODES = ("build_densities", "fuse", "subset", "all")
 # per-budget means over the finite values; cv_reps counts the finite cvs
 _STATS = ("estimate", "rmse", "cv")
-_CONVERGENCE_COLUMNS = ["n", "estimator_id", *_STATS, "cv_reps", "flag"]
-_ESTIMATE_COLUMNS = [
-    "density_id",
-    "kind",
-    "n",
-    "estimate",
-    "sample_variance",
-    "hits",
-    "rmse",
-    "cv",
-]
-_WEIGHT_COLUMNS = ["estimate", "variance", "multiplier", "no_information"]
-_SUBSET_COLUMNS = [
-    "config_hash",
-    "seed",
-    "repetition",
-    "samples",
-    "samples_each_level",
-    "levels",
-    "estimate",
-    "approx_cv",
-    "converged",
-    "model_evals",
-]
 
 
 def _estimate_row(res) -> dict:
@@ -375,12 +351,13 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, header: list[str], rows: list[dict]) -> None:
+def _write_csv(path: Path, rows: list[dict]) -> None:
+    """The first row's keys are the header; every row has the same keys."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
+        writer.writerow(rows[0])
         for row in rows:
-            writer.writerow([_fmt(row.get(col)) for col in header])
+            writer.writerow([_fmt(value) for value in row.values()])
 
 
 def _nan_mean(values: list[float]) -> float:
@@ -416,8 +393,9 @@ def _estimate_phase(config: ExperimentConfig, benchmark: Benchmark, report: Camp
 
     for n_idx, n_total in enumerate(config.n_grid):
         if n_total // k < 2:
+            empty = dict.fromkeys([*_STATS, "cv_reps"])
             report.convergence_rows += [
-                {"n": n_total, "estimator_id": e, "flag": "insufficient"}
+                {"n": n_total, "estimator_id": e, **empty, "flag": "insufficient"}
                 for e in estimator_ids
             ]
             continue
@@ -439,6 +417,7 @@ def _estimate_phase(config: ExperimentConfig, benchmark: Benchmark, report: Camp
             (call for _ in reps for call in slots),
             n_total,
         )
+        # each estimator's estimate, rmse and cv at every repetition
         per_rep: dict[str, list[dict]] = {e: [] for e in estimator_ids}
         for rep in reps:
             results = [next(done) for _ in slots]
@@ -456,19 +435,24 @@ def _estimate_phase(config: ExperimentConfig, benchmark: Benchmark, report: Camp
                 report.estimator_rows.append(row)
                 per_rep[res.density_id].append(row)
 
+            report.fused_rows.append(
+                {
+                    **base,
+                    "estimate": fused.estimate,
+                    "variance": fused.variance,
+                    "multiplier": fused.multiplier,
+                    "no_information": fused.no_information,
+                    **{f"alpha_{i + 1}": float(w) for i, w in enumerate(fused.weights)},
+                }
+            )
             sd = float(np.sqrt(fused.variance))
-            fused_row = {
-                **base,
-                "estimate": fused.estimate,
-                "variance": fused.variance,
-                "multiplier": fused.multiplier,
-                "no_information": fused.no_information,
-                "rmse": float("nan") if fused.no_information else sd,
-                "cv": sd / fused.estimate if fused.estimate > 0 else float("nan"),
-                **{f"alpha_{i + 1}": float(w) for i, w in enumerate(fused.weights)},
-            }
-            report.fused_rows.append(fused_row)
-            per_rep["fused"].append(fused_row)
+            per_rep["fused"].append(
+                {
+                    "estimate": fused.estimate,
+                    "rmse": float("nan") if fused.no_information else sd,
+                    "cv": sd / fused.estimate if fused.estimate > 0 else float("nan"),
+                }
+            )
 
         report.convergence_rows += [
             {
@@ -537,27 +521,25 @@ def _write_outputs(report: CampaignReport, out_dir: Path) -> list[str]:
         "reference_report": reference,
         "subset_levels": report.subset_levels,
     }
-    run_columns = ["config_hash", "seed", "n_total", "repetition"]
-    alphas = [f"alpha_{i + 1}" for i in range(len(report.density_reports))]
-    # (name, CSV columns or None for a JSON file, rows or the JSON text);
-    # empty content means the phase that fills the file did not run
+    # (name, CSV rows or JSON text); empty content means the phase that
+    # fills the file did not run
     files = [
-        ("densities.json", None, densities_json),
-        ("estimates.csv", [*run_columns, *_ESTIMATE_COLUMNS], report.estimator_rows),
-        ("weights.csv", [*run_columns, *_WEIGHT_COLUMNS, *alphas], report.fused_rows),
-        ("convergence.csv", _CONVERGENCE_COLUMNS, report.convergence_rows),
-        ("subset.csv", _SUBSET_COLUMNS, report.subset_rows),
+        ("densities.json", densities_json),
+        ("estimates.csv", report.estimator_rows),
+        ("weights.csv", report.fused_rows),
+        ("convergence.csv", report.convergence_rows),
+        ("subset.csv", report.subset_rows),
         # strict JSON: a non-finite float raises instead of writing NaN
-        ("report.json", None, json.dumps(report_doc, indent=2, allow_nan=False)),
+        ("report.json", json.dumps(report_doc, indent=2, allow_nan=False)),
     ]
     written = []
-    for name, columns, content in files:
+    for name, content in files:
         if not content:
             continue
-        if columns is None:
+        if isinstance(content, str):
             (out_dir / name).write_text(content + "\n")
         else:
-            _write_csv(out_dir / name, columns, content)
+            _write_csv(out_dir / name, content)
         written.append(name)
     return written
 

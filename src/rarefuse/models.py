@@ -222,11 +222,14 @@ def make_arrhenius_2d(tau: float = bc.B2_TAU) -> Benchmark:
         e_edges = np.linspace(e_lo, e_hi, resolution + 1)
         a_cells = 0.5 * (a_edges[:-1] + a_edges[1:])
         e_cells = 0.5 * (e_edges[:-1] + e_edges[1:])
+        # blocks of at most 2^16 cells, so memory does not grow with resolution
+        cols = min(resolution, 1 << 16)
+        rows = (1 << 16) // cols
         failing = 0
-        for start in range(0, resolution, 512):
-            block = e_cells[start : start + 512]
-            vals = _b2_response(a_cells[None, :], block[:, None])
-            failing += int((vals > tau).sum())
+        for r in range(0, resolution, rows):
+            for c in range(0, resolution, cols):
+                vals = _b2_response(a_cells[None, c : c + cols], e_cells[r : r + rows, None])
+                failing += int((vals > tau).sum())
         return failing / float(resolution) ** 2
 
     return Benchmark(

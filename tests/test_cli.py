@@ -414,6 +414,29 @@ class TestRunExperiment:
         assert fused["30"] == "nan"
         assert float(fused["3000"]) == float(np.mean(sds["3000"]))
 
+    def test_csv_headers(self, tmp_path):
+        # the rows define each header; the first budget is insufficient,
+        # so its convergence rows come first and must carry every column
+        config = small_config(
+            tmp_path, benchmark="arrhenius-2d", mode="all", n_grid=[4, 300],
+            subset={"N": 500, "max_levels": 2},
+        )
+        run_experiment(config)
+        out = Path(config.output_dir)
+        headers = {
+            "estimates.csv": "config_hash,seed,n_total,repetition,density_id,kind,n,"
+            "estimate,sample_variance,hits,rmse,cv",
+            "weights.csv": "config_hash,seed,n_total,repetition,estimate,variance,"
+            "multiplier,no_information,alpha_1,alpha_2,alpha_3",
+            "convergence.csv": "n,estimator_id,estimate,rmse,cv,cv_reps,flag",
+            "subset.csv": "config_hash,seed,repetition,samples,samples_each_level,"
+            "levels,estimate,approx_cv,converged,model_evals",
+        }
+        for name, header in headers.items():
+            assert (out / name).read_text().splitlines()[0] == header, name
+        first = (out / "convergence.csv").read_text().splitlines()[1]
+        assert first == "4,q1,,,,,insufficient"
+
     def test_csv_floats_17_significant_digits(self, tmp_path):
         config = small_config(tmp_path)
         run_experiment(config)

@@ -28,6 +28,33 @@ def test_star_import():
     assert set(rarefuse.__all__) <= set(namespace)
 
 
+PACKAGE_MODULES = ["densities", "estimators", "fusion", "mfis", "models", "subset_sim"]
+
+# the package's names before its __all__ was built from its modules'
+NAMES_BEFORE = [
+    "UniformBox", "GaussianMixture", "fit_gaussian", "InsufficientSamplesError",
+    "Model", "LimitState", "Benchmark", "oracle_failure_probability",
+    "make_linear_gaussian", "make_arrhenius_2d", "get_benchmark", "benchmark_names",
+    "BiasingBuildReport", "build_biasing_density", "EstimatorResult",
+    "monte_carlo_estimate", "importance_sampling_estimate", "rmse", "cv",
+    "theoretical_mc_cv", "CovarianceMatrix", "FusedResult", "optimal_weights",
+    "optimal_weights_diagonal", "fuse", "dominance_criterion",
+    "SingularCovarianceError", "SubsetResult", "subset_simulation",
+]
+
+
+def test_package_all_joins_module_alls():
+    joined = [
+        name
+        for module in PACKAGE_MODULES
+        for name in importlib.import_module(f"rarefuse.{module}").__all__
+    ]
+    assert rarefuse.__all__ == joined
+    assert len(set(joined)) == len(joined)
+    added = {"BrokenBiasingDensityError", "UndefinedCVError", "DEFAULT_REGULARIZATION"}
+    assert set(joined) == set(NAMES_BEFORE) | added
+
+
 def test_run_does_not_load_scipy_linalg(tmp_path):
     # NumPy does every factorization.  A small "all" run on a Gaussian
     # nominal goes through the densities' Cholesky factors, fusion and

@@ -10,7 +10,8 @@ held every draw at once: 33 MB for the build and 27 MB for the estimator.
 The runner runs two such calls at once; at 2**14 points per chunk the two
 lanes of a bulk estimation phase stay below one call's bound.  Seeding a
 phase holds one 32-byte row per unit; each unit builds its generator only
-when it runs.
+when it runs.  The quadrature oracle counts failing cells in blocks of at
+most 2**16, so its peak does not grow with its resolution.
 """
 
 import threading
@@ -28,11 +29,12 @@ from rarefuse.cli import (
 )
 from rarefuse.estimators import importance_sampling_estimate
 from rarefuse.mfis import build_biasing_density
-from rarefuse.models import get_benchmark
+from rarefuse.models import get_benchmark, oracle_failure_probability
 
 BUILD_PEAK_MB = 8.0  # m = 10**6 draws; measured 1.5 MB
 IS_PEAK_MB = 14.0  # n = 6 * 10**5 draws, about 5.2 * 10**5 hits; measured 5.2 MB
 SEEDS_PEAK_MB = 0.1
+ORACLE_PEAK_MB = 8.0  # resolution 4001; measured 1.7 MB, 49 MB in blocks of 512 rows
 
 
 def traced_peak_mb(fn):
@@ -93,6 +95,13 @@ def test_seeding_a_budget_holds_seeds_not_generators():
     seeds, peak = traced_peak_mb(lambda: _stream(1, keys))
     assert seeds.shape == (1500, 4)
     assert peak < SEEDS_PEAK_MB
+
+
+def test_arrhenius_oracle_peak_bounded_by_block():
+    b = get_benchmark("arrhenius-2d")
+    p, peak = traced_peak_mb(lambda: oracle_failure_probability(b, 4001))
+    assert p == 0.0005353572878962214  # the failing-cell count is an integer
+    assert peak < ORACLE_PEAK_MB
 
 
 def test_two_lane_estimation_phase_peak_below_one_call_bound(bench, monkeypatch):
