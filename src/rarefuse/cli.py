@@ -389,7 +389,7 @@ def _estimate_phase(config: ExperimentConfig, benchmark: Benchmark, report: Camp
     k = len(densities)
     density_ids = [f"q{i + 1}" for i in range(k)]
     estimator_ids = [*density_ids, "fused", "nominal", "q_ref"]
-    hf_evaluations = 0
+    hf_evaluations = spent = 0
 
     for n_idx, n_total in enumerate(config.n_grid):
         if n_total // k < 2:
@@ -399,6 +399,7 @@ def _estimate_phase(config: ExperimentConfig, benchmark: Benchmark, report: Camp
                 for e in estimator_ids
             ]
             continue
+        spent += config.repetitions * n_total
         splits = _split_budget(n_total, k)
         reps = range(config.repetitions)
         # IS on each density, then MC on the nominal and IS on the reference
@@ -466,7 +467,6 @@ def _estimate_phase(config: ExperimentConfig, benchmark: Benchmark, report: Camp
         ]
 
     # each of the fused, reference and MC estimators spends the full budget
-    spent = config.repetitions * sum(n for n in config.n_grid if n // k >= 2)
     report.budget = {
         "fused_samples": spent,
         "reference_samples": spent,

@@ -49,7 +49,7 @@ VARIANCE_FLOOR = 1e-300
 
 class SingularCovarianceError(ValueError):
     """Covariance matrix is singular or numerically indistinguishable from
-    singular; fuse with the diagonal (independent-estimator) form instead."""
+    singular."""
 
 
 @dataclass(frozen=True)
@@ -106,7 +106,7 @@ def optimal_weights(cov: CovarianceMatrix) -> tuple[np.ndarray, float, float]:
     if not math.isfinite(condition) or condition > CONDITION_LIMIT:
         raise SingularCovarianceError(
             "covariance condition estimate exceeds 1e12; "
-            "fall back to diagonal fusion of the individual variances"
+            "weight independent estimators with optimal_weights_diagonal"
         )
     try:
         L = np.linalg.cholesky(cov.entries)
@@ -125,7 +125,7 @@ def optimal_weights_diagonal(variances) -> tuple[np.ndarray, float]:
     v = np.asarray(variances, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise ValueError("variances must be a nonempty vector")
-    if np.any(v <= 0.0):
+    if not np.all(v > 0.0):  # NaN fails too
         raise ValueError("variances must be strictly positive")
     inv = 1.0 / v
     total = inv.sum()
@@ -141,30 +141,29 @@ def dominance_criterion(variances, candidate_variance: float) -> bool:
     the harmonic mean k / sum_i (1/v_i).
     """
     v = np.asarray(variances, dtype=float)
-    if np.any(v <= 0.0) or candidate_variance <= 0.0:
+    if not (np.all(v > 0.0) and candidate_variance > 0.0):  # NaN fails too
         raise ValueError("variances must be strictly positive")
     harmonic = v.size / float((1.0 / v).sum())
     return bool(candidate_variance > harmonic)
 
 
-def fuse(
-    results: list[EstimatorResult], covariance: CovarianceMatrix | None = None
-) -> FusedResult:
-    """Fuse unbiased estimator results into a minimum-variance estimate.
-
-    Without ``covariance`` the estimators count as independent, with
-    inverse-variance weights from ``sample_variance_i / n_i``; a full
-    :class:`CovarianceMatrix` over the inputs selects :func:`optimal_weights`.
+def fuse(results: list[EstimatorResult]) -> FusedResult:
+    """Fuse independent unbiased estimator results into a minimum-variance
+    estimate, with inverse-variance weights from ``sample_variance_i / n_i``.
+    Correlated estimators are fused with :func:`optimal_weights` instead.
 
     Degenerate-input policy: a result with zero sample variance and a zero
     estimate carries no information about the failure region and is
     excluded (its weight reported as 0); a zero sample variance with a
     positive estimate is floored at ``VARIANCE_FLOOR`` and flagged.  If
     every input is excluded the fused estimate is 0 with
-    ``no_information`` set rather than an error.
+    ``no_information`` set rather than an error.  A non-finite estimate or
+    sample variance raises ``ValueError``.
     """
     if not results:
         raise ValueError("need at least one estimator result")
+    if not all(math.isfinite(r.estimate) and math.isfinite(r.sample_variance) for r in results):
+        raise ValueError("estimates and sample variances must be finite")
     k_in = len(results)
     excluded = [
         i
@@ -191,23 +190,13 @@ def fuse(
         ]
     )
     estimates = np.array([results[i].estimate for i in included])
-
-    if covariance is None:
-        sub_weights, variance = optimal_weights_diagonal(variances)
-        multiplier = -variance
-    else:
-        if covariance.k != k_in:
-            raise ValueError("covariance size must match the number of results")
-        sub = covariance.entries[np.ix_(included, included)]
-        sub_weights, multiplier, variance = optimal_weights(CovarianceMatrix(sub))
-
-    estimate = float(sub_weights @ estimates)
+    sub_weights, variance = optimal_weights_diagonal(variances)
     weights = np.zeros(k_in)
     weights[included] = sub_weights
     return FusedResult(
-        estimate=estimate,
+        estimate=float(sub_weights @ estimates),
         weights=weights,
-        multiplier=multiplier,
+        multiplier=-variance,
         variance=variance,
         excluded=excluded,
         floored=floored,

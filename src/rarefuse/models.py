@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from . import benchmark_constants as bc
-from .densities import GaussianMixture, UniformBox
+from .densities import GaussianMixture, UniformBox, _as_points
 
 __all__ = [
     "Model",
@@ -54,11 +54,7 @@ class Model:
 
     def evaluate(self, z) -> np.ndarray:
         """Evaluate a batch of points (n, input_dim) -> (n, output_dim)."""
-        pts = np.asarray(z, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != self.input_dim:
-            raise ValueError(
-                f"points must have shape (n, {self.input_dim}), got {pts.shape}"
-            )
+        pts = _as_points(z, self.input_dim)
         out = np.asarray(self.fn(pts), dtype=float)
         if out.ndim == 1:
             out = out.reshape(-1, 1)

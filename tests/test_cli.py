@@ -101,6 +101,9 @@ BAD_VALUES = [
     {"n_grid": [2**63]},
     {"subset": {"N": 2**63}},
     {"repetitions": 2**32 + 1},
+    {"split": "by-cost"},
+    {"n_grid": 300},
+    {"n_grid": None},
 ]
 BAD_VALUE_IDS = [
     "unknown-benchmark",
@@ -129,6 +132,9 @@ BAD_VALUE_IDS = [
     "n-grid-2-63",
     "subset-N-2-63",
     "repetitions-2-32-plus-1",
+    "split-by-cost",
+    "n-grid-number",
+    "n-grid-null",
 ]
 
 
@@ -142,6 +148,10 @@ class TestConfig:
             ExperimentConfig.from_dict(
                 {"benchmark": "linear-gaussian", "subset": {"N": 500, "burn_in": 7}}
             )
+
+    def test_config_not_an_object_rejected(self):
+        with pytest.raises(ConfigError, match="JSON object"):
+            ExperimentConfig.from_dict([1])
 
     def test_benchmark_required(self):
         with pytest.raises(ConfigError, match="benchmark"):

@@ -77,8 +77,9 @@ class TestMonteCarlo:
     def test_always_failing_gives_one(self):
         model, ls = always_failing()
         box = UniformBox([0, 0], [1, 1])
-        r = monte_carlo_estimate(model, ls, box, 500, np.random.default_rng(0))
-        assert r.estimate == 1.0 and r.sample_variance == 0.0
+        for n in (1, 500):  # n=1 has no n-1 divisor
+            r = monte_carlo_estimate(model, ls, box, n, np.random.default_rng(0))
+            assert r.estimate == 1.0 and r.sample_variance == 0.0
 
     def test_estimate_is_hits_over_n(self):
         b = make_linear_gaussian(beta=2.0)

@@ -95,9 +95,6 @@ class TestOptimalWeights:
         indefinite = np.array([[1.0, -2.0], [-2.0, 1.0]])
         with pytest.raises(ValueError, match="positive definite"):
             optimal_weights(CovarianceMatrix(indefinite))
-        rs = [result(0.010, 100, 4.0, "a"), result(0.014, 100, 4.0, "b")]
-        with pytest.raises(ValueError, match="positive definite"):
-            fuse(rs, covariance=CovarianceMatrix(0.04 * indefinite))
 
     def test_nonpositive_diagonal_rejected(self):
         with pytest.raises(ValueError):
@@ -127,6 +124,8 @@ class TestDiagonalWeights:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             optimal_weights_diagonal([1.0, 0.0])
+        with pytest.raises(ValueError):
+            optimal_weights_diagonal([np.nan, 1.0])
 
     def test_consistent_with_kkt_path(self):
         rng = np.random.default_rng(3)
@@ -202,6 +201,10 @@ class TestDominanceCriterion:
             dominance_criterion([1.0, -1.0], 2.0)
         with pytest.raises(ValueError):
             dominance_criterion([1.0, 1.0], 0.0)
+        with pytest.raises(ValueError):
+            dominance_criterion([np.nan, 1.0], 2.0)
+        with pytest.raises(ValueError):
+            dominance_criterion([1.0, 1.0], np.nan)
 
 
 class TestFuse:
@@ -253,11 +256,16 @@ class TestFuse:
         # the floored estimator dominates the weights
         assert f.weights[0] == pytest.approx(1.0, abs=1e-10)
 
-    def test_correlated_fusion_with_supplied_covariance(self):
-        rs = [result(0.010, 100, 4.0, "a"), result(0.014, 100, 4.0, "b")]
-        cov = CovarianceMatrix(np.array([[0.04, 0.02], [0.02, 0.04]]))
-        f = fuse(rs, covariance=cov)
-        np.testing.assert_allclose(f.weights, [0.5, 0.5], atol=1e-12)
-        assert f.estimate == pytest.approx(0.012, rel=1e-12)
-        assert f.variance == pytest.approx(0.03, rel=1e-12)
-
+    @pytest.mark.parametrize(
+        "results",
+        [
+            [],
+            [result(np.nan, 100, 0.04, "a"), result(0.012, 200, 0.02, "b")],
+            [result(0.01, 100, np.nan, "a"), result(0.012, 200, 0.02, "b")],
+            [result(np.inf, 100, 0.04, "a")],
+        ],
+        ids=["empty", "nan-estimate", "nan-variance", "inf-estimate"],
+    )
+    def test_unusable_input_rejected(self, results):
+        with pytest.raises(ValueError):
+            fuse(results)
