@@ -280,30 +280,34 @@ def _generator(words) -> np.random.Generator:
 _LANE_POINTS = 1 << 16
 
 
-def _run_units(seed: int, keys: list, calls, points: int):
-    """Run unit i of a phase (a density build, one budget's estimator call
-    or a subset run) as ``calls[i](rng)``, seeded by spawn key ``keys[i]``;
-    returns an iterator over the results in input order.
+def _run_units(seed: int, keys: list, calls, points: list):
+    """Run unit i of a phase (a density build, an estimator call or a
+    subset run), which draws ``points[i]`` points, as ``calls[i](rng)``,
+    seeded by spawn key ``keys[i]``; returns an iterator over the results
+    in input order.
 
     One ``_stream`` call seeds the phase, and each unit builds its
     generator when it runs, so a result does not depend on when or where
     its unit runs.  When the phase's largest unit draws more than
-    ``_LANE_POINTS`` points (``points``), the units run in two lanes, this
-    thread and one more, since NumPy releases the GIL in its bulk kernels:
-    each lane takes the next unit as it comes free.  If units raise, every
-    unit still runs, and the error of the lowest-index one is raised, as a
-    serial loop would.  Otherwise no thread starts and each unit runs here
-    as its result is read, so a lazy ``calls`` keeps a serial phase to one
-    unit at a time.
+    ``_LANE_POINTS`` points, the units run in two lanes, this thread and
+    one more, since NumPy releases the GIL in its bulk kernels: each lane
+    takes the next unit, largest first, as it comes free, so the lane
+    that finishes last waits on a short unit.  If units raise, every unit
+    still runs, and the error of the lowest-index one is raised, as a
+    serial loop would.  Otherwise no thread starts and each unit runs
+    here, in input order, as its result is read, so a lazy ``calls``
+    keeps a serial phase to one unit at a time.
     """
-    units = zip(calls, _stream(seed, keys))
-    if points <= _LANE_POINTS:
-        return (call(_generator(words)) for call, words in units)
-    units = iter(list(enumerate(units)))  # both lanes take from it; next() holds the GIL
+    rows = _stream(seed, keys) if keys else []  # _stream needs a key
+    if max(points, default=0) <= _LANE_POINTS:
+        return (call(_generator(words)) for call, words in zip(calls, rows))
+    calls = list(calls)
+    order = sorted(range(len(keys)), key=points.__getitem__, reverse=True)  # ties keep order
+    units = iter([(i, calls[i], rows[i]) for i in order])  # both lanes take from it
     results, errors = [None] * len(keys), {}
 
     def lane():
-        for i, (call, words) in units:
+        for i, call, words in units:  # next() holds the GIL
             try:
                 results[i] = call(_generator(words))
             except Exception as exc:
@@ -375,7 +379,7 @@ def _build_phase(config: ExperimentConfig, benchmark: Benchmark, report: Campaig
         for _, model in models
     ]
     keys = [(1, key) for key, _ in models]
-    builds = list(_run_units(config.seed, keys, calls, config.m))
+    builds = list(_run_units(config.seed, keys, calls, [config.m] * len(keys)))
     report.density_reports = builds[:-1]
     report.reference_report = builds[-1]
     report.timings["build_densities_s"] = time.perf_counter() - t0
@@ -389,10 +393,31 @@ def _estimate_phase(config: ExperimentConfig, benchmark: Benchmark, report: Camp
     k = len(densities)
     density_ids = [f"q{i + 1}" for i in range(k)]
     estimator_ids = [*density_ids, "fused", "nominal", "q_ref"]
-    hf_evaluations = spent = 0
+    reps = range(config.repetitions)
+    slot_keys = [*range(k), 900, 901]
 
+    def slots(n_total):  # (call, points) of IS on each density, MC, IS on the reference
+        ref = partial(importance_sampling_estimate, *fixed, q_ref, n_total, density_id="q_ref")
+        return [
+            *(
+                (partial(importance_sampling_estimate, *fixed, q, n, density_id=i), n)
+                for q, n, i in zip(densities, _split_budget(n_total, k), density_ids)
+            ),
+            (partial(monte_carlo_estimate, *fixed, n_total, density_id="nominal"), n_total),
+            (ref, n_total),
+        ]
+
+    # the budgets with at least 2 draws per density; one queue runs all their units
+    budgets = {i: slots(n) for i, n in enumerate(config.n_grid) if n // k >= 2}
+    done = _run_units(
+        config.seed,
+        [(2, n_idx, rep, s) for n_idx in budgets for rep in reps for s in slot_keys],
+        (call for units in budgets.values() for _ in reps for call, _ in units),
+        [n for units in budgets.values() for _ in reps for _, n in units],
+    )
+    hf_evaluations = spent = 0
     for n_idx, n_total in enumerate(config.n_grid):
-        if n_total // k < 2:
+        if n_idx not in budgets:
             empty = dict.fromkeys([*_STATS, "cv_reps"])
             report.convergence_rows += [
                 {"n": n_total, "estimator_id": e, **empty, "flag": "insufficient"}
@@ -400,28 +425,10 @@ def _estimate_phase(config: ExperimentConfig, benchmark: Benchmark, report: Camp
             ]
             continue
         spent += config.repetitions * n_total
-        splits = _split_budget(n_total, k)
-        reps = range(config.repetitions)
-        # IS on each density, then MC on the nominal and IS on the reference
-        slots = [
-            *(
-                partial(importance_sampling_estimate, *fixed, q, n, density_id=i)
-                for q, n, i in zip(densities, splits, density_ids)
-            ),
-            partial(monte_carlo_estimate, *fixed, n_total, density_id="nominal"),
-            partial(importance_sampling_estimate, *fixed, q_ref, n_total, density_id="q_ref"),
-        ]
-        slot_keys = [*range(k), 900, 901]
-        done = _run_units(
-            config.seed,
-            [(2, n_idx, rep, s) for rep in reps for s in slot_keys],
-            (call for _ in reps for call in slots),
-            n_total,
-        )
         # each estimator's estimate, rmse and cv at every repetition
         per_rep: dict[str, list[dict]] = {e: [] for e in estimator_ids}
         for rep in reps:
-            results = [next(done) for _ in slots]
+            results = [next(done) for _ in slot_keys]
             fused = fuse(results[:k])
             hf_evaluations += sum(res.model_evals for res in results)
 
@@ -483,7 +490,7 @@ def _subset_phase(config: ExperimentConfig, benchmark: Benchmark, report: Campai
     sub = config.subset
     run = partial(subset_simulation, *fixed, sub.N, sub.p0, sub.max_levels)
     keys = [(3, rep) for rep in range(config.repetitions)]
-    results = _run_units(config.seed, keys, [run] * len(keys), sub.N)
+    results = _run_units(config.seed, keys, [run] * len(keys), [sub.N] * len(keys))
     for rep, result in enumerate(results):
         report.subset_rows.append(
             {

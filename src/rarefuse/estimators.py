@@ -124,12 +124,15 @@ def _exact_sum(chunks, repeat: int = 0, value: float = 0.0, center=None) -> floa
     if sum(map(len, chunks)) + repeat <= _SUM_SMALL:
         terms = [value] * repeat
         for values in chunks:
-            if center is not None:
-                values = (values - center) ** 2
-            if not np.isfinite(values).all():
-                raise ValueError("exact sum needs finite values")
-            terms += values.tolist()
-        return math.fsum(terms)
+            terms += (values if center is None else (values - center) ** 2).tolist()
+        try:  # a non-finite term makes fsum return inf or NaN, or raise
+            total = math.fsum(terms)
+            if math.isfinite(total):
+                return total
+        except (ValueError, OverflowError):  # -inf + inf, or an intermediate overflow
+            if all(map(math.isfinite, terms)):
+                raise  # finite terms whose sum overflows
+        raise ValueError("exact sum needs finite values")
     # the exact sum so far, times 2**(1074 + 53); den is a power of two
     # <= 2**1074, so the floor division is exact
     num, den = value.as_integer_ratio()
@@ -236,15 +239,16 @@ def importance_sampling_estimate(
                 continue
             with np.errstate(over="ignore", invalid="ignore"):  # refused just below
                 ratio = p_vals[failed] / q_vals[failed]
-            bad = int(np.count_nonzero(~np.isfinite(ratio)))
-            if bad:
+            top = ratio.max()  # p > 0 and q > 0 here, so a bad weight is +inf or NaN
+            if not math.isfinite(top):  # NaN propagates through the max
+                bad = int(np.count_nonzero(~np.isfinite(ratio)))
                 raise BrokenBiasingDensityError(
                     f"{bad} non-finite importance weight(s) p/q out of {ratio.size} "
                     "failure samples"
                 )
             hit_chunks.append(ratio)
             hits += ratio.size
-            low, high = min(low, ratio.min()), max(high, ratio.max())
+            low, high = min(low, ratio.min()), max(high, top)
 
     try:
         estimate = _exact_sum(hit_chunks) / n

@@ -62,6 +62,8 @@ class CovarianceMatrix:
         m = np.asarray(self.entries, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("covariance matrix must be square")
+        if not np.isfinite(m).all():
+            raise ValueError("covariance matrix entries must be finite")
         scale = max(1.0, float(np.abs(m).max()))
         if np.abs(m - m.T).max() > 1e-14 * scale:
             raise ValueError("covariance matrix must be symmetric within 1e-14")
@@ -125,7 +127,7 @@ def optimal_weights_diagonal(variances) -> tuple[np.ndarray, float]:
     v = np.asarray(variances, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise ValueError("variances must be a nonempty vector")
-    if not np.all(v > 0.0):  # NaN fails too
+    if not (v > 0.0).all():  # NaN fails too
         raise ValueError("variances must be strictly positive")
     inv = 1.0 / v
     total = inv.sum()
@@ -165,12 +167,9 @@ def fuse(results: list[EstimatorResult]) -> FusedResult:
     if not all(math.isfinite(r.estimate) and math.isfinite(r.sample_variance) for r in results):
         raise ValueError("estimates and sample variances must be finite")
     k_in = len(results)
-    excluded = [
-        i
-        for i, r in enumerate(results)
-        if r.sample_variance == 0.0 and r.estimate == 0.0
-    ]
-    included = [i for i in range(k_in) if i not in excluded]
+    excluded, included = [], []
+    for i, r in enumerate(results):
+        (excluded if r.sample_variance == 0.0 and r.estimate == 0.0 else included).append(i)
     if not included:
         return FusedResult(
             estimate=0.0,
@@ -183,11 +182,7 @@ def fuse(results: list[EstimatorResult]) -> FusedResult:
 
     floored = [i for i in included if results[i].sample_variance == 0.0]
     variances = np.array(
-        [
-            max(results[i].sample_variance, VARIANCE_FLOOR if i in floored else 0.0)
-            / results[i].n
-            for i in included
-        ]
+        [(results[i].sample_variance or VARIANCE_FLOOR) / results[i].n for i in included]
     )
     estimates = np.array([results[i].estimate for i in included])
     sub_weights, variance = optimal_weights_diagonal(variances)

@@ -84,8 +84,8 @@ class LimitState:
             raise ValueError(
                 f"limit state must return shape ({qoi.shape[0]},), got {vals.shape}"
             )
-        bad = int(np.count_nonzero(~np.isfinite(vals)))
-        if bad:
+        if not np.isfinite(vals).all():
+            bad = int(np.count_nonzero(~np.isfinite(vals)))
             raise ValueError(
                 f"limit state returned {bad} non-finite value(s) out of {vals.size}"
             )

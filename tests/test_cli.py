@@ -284,6 +284,17 @@ class TestRunExperiment:
         assert flagged and all(r["flag"] == "insufficient" for r in flagged)
         assert not any(r["n_total"] == 4 for r in report.estimator_rows)
 
+    def test_every_budget_insufficient_writes_flagged_rows(self, tmp_path):
+        # 3 points over 3 densities leave none with 2 draws: no estimator runs
+        config = small_config(tmp_path, benchmark="arrhenius-2d", m=2000, n_grid=[3])
+        report = run_experiment(config)
+        assert report.files == ["densities.json", "convergence.csv", "report.json"]
+        rows = read_csv(Path(config.output_dir) / "convergence.csv")
+        assert [(r["n"], r["estimator_id"], r["flag"]) for r in rows] == [
+            ("3", e, "insufficient") for e in ("q1", "q2", "q3", "fused", "nominal", "q_ref")
+        ]
+        assert report.budget["actual_hf_evaluations"] == report.budget["fused_samples"] == 0
+
     def test_fallback_density_gets_smallest_weight(self, tmp_path):
         # the constant surrogate falls back to the nominal density, whose
         # estimator carries by far the largest variance at rare-event scale

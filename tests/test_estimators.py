@@ -355,6 +355,19 @@ class TestNonFiniteWeights:
                 model, ls, Flat(1e300), Flat(1e-300), 500, np.random.default_rng(0)
             )
 
+    @pytest.mark.parametrize("p_bad, q_bad", [(1e300, 1e-300), (np.inf, np.inf)])
+    def test_some_non_finite_weights_counted(self, p_bad, q_bad):
+        # where the second coordinate is positive, p/q is 1e300/1e-300 = inf
+        # or inf/inf = NaN; every other weight is 1, and only the bad ones
+        # are counted
+        model, ls = always_failing()
+        positive = np.random.default_rng(0).standard_normal((500, 2))[:, 1] > 0
+        p = Flat(lambda z: np.where(z[:, 1] > 0, p_bad, 1.0))
+        q = Flat(lambda z: np.where(z[:, 1] > 0, q_bad, 1.0))
+        message = rf"^{positive.sum()} non-finite importance weight\(s\) p/q out of 500 "
+        with pytest.raises(BrokenBiasingDensityError, match=message):
+            importance_sampling_estimate(model, ls, p, q, 500, np.random.default_rng(0))
+
     # Finite weights p/q whose sums overflow; at seed 3, 527 of 1000 draws
     # fail, so n=1000 takes the exact-sum kernel and n=100 math.fsum.
     # weights 1e155: estimate**2 overflows in the variance sum;

@@ -104,6 +104,15 @@ class TestOptimalWeights:
         with pytest.raises(ValueError, match="symmetric"):
             CovarianceMatrix(np.array([[1.0, 0.3], [0.2, 1.0]]))
 
+    @pytest.mark.parametrize(
+        "entries",
+        [[[np.nan, 0.0], [0.0, 1.0]], [[1.0, np.nan], [0.5, 1.0]], [[1.0, 0.0], [0.0, np.inf]]],
+    )
+    def test_non_finite_entries_rejected_by_name(self, entries):
+        # NaN passed the symmetry check and then read as ill-conditioned
+        with pytest.raises(ValueError, match="entries must be finite"):
+            CovarianceMatrix(np.array(entries))
+
 
 class TestDiagonalWeights:
     def test_equal_variances_third_each(self):

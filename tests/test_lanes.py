@@ -1,8 +1,9 @@
 """The runner's seeded units and two lanes: each phase seeds its units in
 one ``_stream`` call, and they run on the calling thread and one more, each
-taking the next unit as it comes free, when the phase's largest unit draws
-more than ``_LANE_POINTS`` points, with results and errors as a serial loop
-would give them, and model calls never overlapping."""
+taking the next unit, largest first, as it comes free, when the phase's
+largest unit draws more than ``_LANE_POINTS`` points, with results and
+errors as a serial loop would give them, and model calls never
+overlapping."""
 
 import dataclasses
 import sys
@@ -67,7 +68,7 @@ class TestRunUnits:
     def test_results_in_input_order_for_uneven_units(self, started):
         sleeps = [0.02, 0.001, 0.03, 0, 0.01, 0.002, 0]
         calls, threads, _, _ = calls_recording_threads(len(sleeps), sleeps=sleeps)
-        results = cli._run_units(3, keys(len(sleeps)), calls, L + 1)
+        results = cli._run_units(3, keys(len(sleeps)), calls, [L + 1] * len(sleeps))
         assert list(results) == list(range(len(sleeps)))
         assert sorted(threads) == list(range(len(sleeps)))
         assert len(started) == 1
@@ -75,7 +76,7 @@ class TestRunUnits:
     def test_small_units_run_here_as_their_results_are_read(self, started):
         order = []
         calls = [lambda rng, i=i: order.append((i, threading.get_ident())) or i for i in range(3)]
-        results = cli._run_units(3, keys(3), calls, L)
+        results = cli._run_units(3, keys(3), calls, [L, 1, L])
         assert order == []
         assert next(results) == 0
         here = threading.get_ident()
@@ -92,7 +93,7 @@ class TestRunUnits:
                 log.append(("made", i))
                 yield lambda rng, i=i: log.append(("ran", i)) or rng.random()
 
-        results = cli._run_units(3, keys(3), calls(), L)
+        results = cli._run_units(3, keys(3), calls(), [1, L, 2])
         assert log == []
         expected = [np.random.default_rng(SeedSequence(3, spawn_key=k)).random() for k in keys(3)]
         assert next(results) == expected[0]
@@ -108,12 +109,44 @@ class TestRunUnits:
         raised.clear()
         threads.clear()
         with pytest.raises(RuntimeError) as lanes:
-            cli._run_units(3, keys(4), calls, L + 1)
+            cli._run_units(3, keys(4), calls, [L + 1] * 4)
         assert lanes.value is serial.value is errors[min(raising)]
         # every unit ran, and a higher unit raised before the lowest one
         assert sorted(threads) == [0, 1, 2, 3]
         assert sorted(raised) == sorted(raising)
         assert raised[0] > min(raising)
+
+    def test_lowest_index_error_raised_when_its_unit_runs_last(self):
+        # the lanes take unit 0, the smallest, last; its error is still the
+        # one raised, as in a serial loop
+        calls, threads, errors, raised = calls_recording_threads(4, (0, 1, 3))
+        with pytest.raises(RuntimeError) as lanes:
+            cli._run_units(3, keys(4), calls, [1, L + 1, 2, L + 1])
+        assert lanes.value is errors[0]
+        assert sorted(threads) == [0, 1, 2, 3]
+        assert raised[-1] == 0
+
+    def test_two_lanes_take_the_largest_unit_first(self, started):
+        """Units start largest first, equal sizes in input order.  The first
+        unit taken holds its lane until every other unit has started, so
+        the other lane takes the rest one at a time and their order shows."""
+        points = [3, L + 9, 5, L + 1, 5, L + 9, 0]
+        n, began, rest = len(points), [], threading.Semaphore(0)
+
+        def call(i):
+            began.append(i)
+            if i == 1:
+                for _ in range(n - 1):
+                    assert rest.acquire(timeout=10)
+            else:
+                rest.release()
+            return i
+
+        calls = [lambda rng, i=i: call(i) for i in range(n)]
+        assert list(cli._run_units(3, keys(n), calls, points)) == list(range(n))
+        assert 1 in began[:2]
+        assert [i for i in began if i != 1] == [5, 3, 2, 4, 0, 6]
+        assert len(started) == 1
 
     def test_each_unit_runs_exactly_once_under_contention(self, monkeypatch, started):
         monkeypatch.setattr(cli, "_LANE_POINTS", 0)
@@ -122,7 +155,7 @@ class TestRunUnits:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            results = list(cli._run_units(3, keys(n), calls, 1))
+            results = list(cli._run_units(3, keys(n), calls, [1] * n))
         finally:
             sys.setswitchinterval(interval)
         assert results == list(range(n))
@@ -165,9 +198,10 @@ def test_small_configs_start_no_thread(tmp_path, monkeypatch, name):
 
 @pytest.mark.parametrize("name", sorted(SMALL_CONFIGS))
 def test_one_stream_call_per_phase(tmp_path, monkeypatch, name):
-    """The builds, each budget and the subset repetitions are each seeded
-    by one ``_stream`` call over all their units: 6 calls for
-    readme-arrhenius, 5 for is-many-small-arrhenius (no subset phase)."""
+    """The builds, the estimator calls of every budget and the subset
+    repetitions are each seeded by one ``_stream`` call over all their
+    units: 3 calls for readme-arrhenius, 2 for is-many-small-arrhenius (no
+    subset phase)."""
     stream, keys_per_call = cli._stream, []
 
     def counted(seed, keys):
@@ -179,8 +213,8 @@ def test_one_stream_call_per_phase(tmp_path, monkeypatch, name):
     run_experiment(ExperimentConfig.from_dict(doc))
     k, reps = len(get_benchmark(doc["benchmark"]).surrogates), doc["repetitions"]
     subset = [reps] if doc["mode"] == "all" else []
-    assert keys_per_call == [k + 1, *[reps * (k + 2)] * len(doc["n_grid"]), *subset]
-    assert len(keys_per_call) == {"readme-arrhenius": 6, "is-many-small-arrhenius": 5}[name]
+    assert keys_per_call == [k + 1, len(doc["n_grid"]) * reps * (k + 2), *subset]
+    assert len(keys_per_call) == {"readme-arrhenius": 3, "is-many-small-arrhenius": 2}[name]
 
 
 def test_model_calls_never_overlap_and_count_every_point(tmp_path, monkeypatch, started):
@@ -229,7 +263,7 @@ def test_model_calls_never_overlap_and_count_every_point(tmp_path, monkeypatch, 
         report = run_experiment(config)
     finally:
         sys.setswitchinterval(interval)
-    assert len(started) == 1 + len(config.n_grid)  # the build phase and each budget
+    assert len(started) == 2  # the build phase and the estimation phase
     assert overlaps == []
     # the reference density build spends m points on the high-fidelity model
     assert hf.points == report.budget["actual_hf_evaluations"] + config.m
