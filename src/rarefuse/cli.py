@@ -364,9 +364,12 @@ def _write_csv(path: Path, rows: list[dict]) -> None:
             writer.writerow([_fmt(value) for value in row.values()])
 
 
-def _nan_mean(values: list[float]) -> float:
-    finite = [v for v in values if math.isfinite(v)]
-    return float(np.mean(finite)) if finite else float("nan")
+def _means(rows: list[dict]) -> dict:
+    """The convergence.csv statistics of one estimator's rows at one budget;
+    all four are empty when the budget ran no repetitions."""
+    finite = {s: [r[s] for r in rows if math.isfinite(r[s])] for s in _STATS}
+    means = {s: float(np.mean(v)) if v else math.nan for s, v in finite.items()}
+    return {**means, "cv_reps": len(finite["cv"])} if rows else dict.fromkeys([*_STATS, "cv_reps"])
 
 
 def _build_phase(config: ExperimentConfig, benchmark: Benchmark, report: CampaignReport):
@@ -417,17 +420,10 @@ def _estimate_phase(config: ExperimentConfig, benchmark: Benchmark, report: Camp
     )
     hf_evaluations = spent = 0
     for n_idx, n_total in enumerate(config.n_grid):
-        if n_idx not in budgets:
-            empty = dict.fromkeys([*_STATS, "cv_reps"])
-            report.convergence_rows += [
-                {"n": n_total, "estimator_id": e, **empty, "flag": "insufficient"}
-                for e in estimator_ids
-            ]
-            continue
-        spent += config.repetitions * n_total
         # each estimator's estimate, rmse and cv at every repetition
         per_rep: dict[str, list[dict]] = {e: [] for e in estimator_ids}
-        for rep in reps:
+        for rep in reps if n_idx in budgets else ():
+            spent += n_total
             results = [next(done) for _ in slot_keys]
             fused = fuse(results[:k])
             hf_evaluations += sum(res.model_evals for res in results)
@@ -448,7 +444,7 @@ def _estimate_phase(config: ExperimentConfig, benchmark: Benchmark, report: Camp
                     **base,
                     "estimate": fused.estimate,
                     "variance": fused.variance,
-                    "multiplier": fused.multiplier,
+                    "multiplier": 0.0 - fused.variance,  # not -variance, which prints -0
                     "no_information": fused.no_information,
                     **{f"alpha_{i + 1}": float(w) for i, w in enumerate(fused.weights)},
                 }
@@ -462,14 +458,9 @@ def _estimate_phase(config: ExperimentConfig, benchmark: Benchmark, report: Camp
                 }
             )
 
+        flag = "" if n_idx in budgets else "insufficient"
         report.convergence_rows += [
-            {
-                "n": n_total,
-                "estimator_id": e,
-                **{s: _nan_mean([r[s] for r in per_rep[e]]) for s in _STATS},
-                "cv_reps": sum(1 for r in per_rep[e] if math.isfinite(r["cv"])),
-                "flag": "",
-            }
+            {"n": n_total, "estimator_id": e, **_means(per_rep[e]), "flag": flag}
             for e in estimator_ids
         ]
 

@@ -150,6 +150,9 @@ class GaussianMixture:
         d = mean.size
         if mean.shape != (d,) or cov.shape != (d, d):
             raise ValueError("mean and covariance shapes are inconsistent")
+        for name, value in (("mean", mean), ("covariance", cov)):
+            if not np.isfinite(value).all():  # NaN passes the checks below
+                raise ValueError(f"{name} entries must be finite")
         scale = max(1.0, float(np.abs(cov).max()))
         if np.abs(cov - cov.T).max() > self._SYM_TOL * scale:
             raise ValueError("covariance must be symmetric")
@@ -240,8 +243,8 @@ def fit_gaussian(samples) -> GaussianMixture:
         Fewer than d+2 samples ("insufficient failure samples"); callers
         building biasing densities fall back to the nominal density.
     ValueError
-        Samples not of shape (n, d), or degenerate samples whose
-        regularized covariance is still singular.
+        Samples not of shape (n, d), non-finite samples, or degenerate
+        samples whose regularized covariance is still singular.
     """
     pts = np.asarray(samples, dtype=float)
     if pts.ndim != 2:

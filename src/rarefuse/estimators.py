@@ -16,8 +16,8 @@ exactly as that many copies of ``estimate**2``.  Draws are taken and
 evaluated ``_CHUNK`` at a time (``mfis`` builds densities the same way), so
 the transient memory of a call is bounded by the chunk plus the hit
 weights, not by ``n``.  The runner may run two bulk calls at once, one
-per lane; the chunk is small enough that two of them hold less than one
-call did at the former 2**16.
+per lane, so the chunk must keep the two together within the memory
+bound that one call is held to.
 """
 
 from __future__ import annotations
@@ -44,9 +44,9 @@ __all__ = [
 # density builds.  It bounds their transient memory (a few arrays of this
 # many points) and changes no result: draws come off the generator in the
 # same order, each point is evaluated on its own, and sums are exact.  The
-# runner runs two bulk calls at once, so the chunk is 2**14: two lanes of it
-# hold less than one lane of 2**16 did, and the smaller chunk alone costs
-# no time.
+# runner runs two bulk calls at once, so the chunk must keep the two within
+# the peak-memory bound of one call (tests/test_memory.py).  2**14 does,
+# and costs no time against a chunk of 2**16.
 _CHUNK = 1 << 14
 
 # Values per block of the exact-sum kernel.  The kernel's temporaries are a

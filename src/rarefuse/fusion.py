@@ -81,11 +81,11 @@ class FusedResult:
 
     ``weights`` has one entry per *input* estimator; excluded inputs carry
     weight 0, so the weights still sum to one over the informative ones.
+    The Lagrange multiplier of the sum-to-one constraint is ``-variance``.
     """
 
     estimate: float
     weights: np.ndarray
-    multiplier: float
     variance: float
     excluded: list[int] = field(default_factory=list)
     floored: list[int] = field(default_factory=list)
@@ -174,7 +174,6 @@ def fuse(results: list[EstimatorResult]) -> FusedResult:
         return FusedResult(
             estimate=0.0,
             weights=np.zeros(k_in),
-            multiplier=0.0,
             variance=0.0,
             excluded=excluded,
             no_information=True,
@@ -191,7 +190,6 @@ def fuse(results: list[EstimatorResult]) -> FusedResult:
     return FusedResult(
         estimate=float(sub_weights @ estimates),
         weights=weights,
-        multiplier=-variance,
         variance=variance,
         excluded=excluded,
         floored=floored,

@@ -12,8 +12,8 @@ build's memory is bounded by the chunk plus the failure set, not by the
 number of draws.  Chunking changes no result: the draws come off the
 generator in the same order and each point is evaluated on its own.  The
 runner builds two densities at once when a build draws more than 2**16
-points, which is why the chunk is 2**14 points: two builds then hold less
-than one did at 2**16.
+points, so the chunk must keep two builds together within the memory
+bound that one build is held to; 2**14 points do.
 
 An optional threshold relaxation widens the surrogate failure set
 (failure under g < relax instead of g < 0).  Relaxation only affects the

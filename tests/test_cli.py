@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 from collections import Counter
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -14,10 +15,17 @@ import pytest
 from rarefuse.cli import (
     ConfigError,
     ExperimentConfig,
+    _split_budget,
     main,
     run_experiment,
 )
-from rarefuse.estimators import EstimatorResult, cv, rmse
+from rarefuse.estimators import (
+    EstimatorResult,
+    cv,
+    importance_sampling_estimate,
+    monte_carlo_estimate,
+    rmse,
+)
 from rarefuse.models import get_benchmark
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -434,6 +442,64 @@ class TestRunExperiment:
         }
         assert fused["30"] == "nan"
         assert float(fused["3000"]) == float(np.mean(sds["3000"]))
+
+    def test_multiplier_is_minus_the_variance(self, tmp_path):
+        # the Lagrange multiplier of the sum-to-one constraint; a result
+        # with no information (every row at n_total 30) has variance 0 and
+        # must print 0, not -0
+        config = small_config(tmp_path, benchmark="arrhenius-2d", n_grid=[30, 3000])
+        run_experiment(config)
+        rows = read_csv(Path(config.output_dir) / "weights.csv")
+        assert all(float(row["multiplier"]) == -float(row["variance"]) for row in rows)
+        blank = [row["multiplier"] for row in rows if row["no_information"] == "true"]
+        assert blank == ["0", "0"]
+
+    def test_rows_follow_their_spawn_keys(self, tmp_path):
+        # budget 4 is insufficient, so the usable budgets keep indices 1 and
+        # 2 in their keys (2, n_idx, rep, slot); each estimates.csv row is
+        # the direct call on its key, in the order the units were queued
+        config = small_config(
+            tmp_path, benchmark="arrhenius-2d", m=20000, n_grid=[4, 30, 300], repetitions=2
+        )
+        report = run_experiment(config)
+        bench = get_benchmark(config.benchmark)
+        densities = [r.density for r in report.density_reports]
+        # a fallback density is the run's nominal, which IS recognises by identity
+        (nominal,) = {r.density for r in report.density_reports if r.fell_back_to_nominal}
+        fixed = (bench.high_fidelity, bench.limit_state, nominal)
+        expected = []
+        for n_idx, n_total in [(1, 30), (2, 300)]:
+            ns = _split_budget(n_total, len(densities))
+            slots = [
+                *(
+                    (s, partial(
+                        importance_sampling_estimate, *fixed, q, n, density_id=f"q{s + 1}"
+                    ))
+                    for s, (q, n) in enumerate(zip(densities, ns))
+                ),
+                (900, partial(monte_carlo_estimate, *fixed, n_total, density_id="nominal")),
+                (901, partial(
+                    importance_sampling_estimate, *fixed, report.reference_report.density,
+                    n_total, density_id="q_ref",
+                )),
+            ]
+            for rep in range(config.repetitions):
+                for slot, call in slots:
+                    seed = np.random.SeedSequence(config.seed, spawn_key=(2, n_idx, rep, slot))
+                    res = call(np.random.default_rng(seed))
+                    expected.append(
+                        (n_total, rep, res.density_id, res.estimate, res.sample_variance)
+                    )
+        rows = read_csv(Path(config.output_dir) / "estimates.csv")
+        assert [
+            (
+                int(row["n_total"]), int(row["repetition"]), row["density_id"],
+                float(row["estimate"]), float(row["sample_variance"]),
+            )
+            for row in rows
+        ] == expected
+        # q2 and q_ref hit at every key, so a row on another key shows
+        assert len({e[3] for e in expected if e[3] > 0}) >= 8
 
     def test_csv_headers(self, tmp_path):
         # the rows define each header; the first budget is insufficient,

@@ -90,6 +90,21 @@ class TestGaussianMixturePdf:
         with pytest.raises(ValueError):
             GaussianMixture([(1.0, [0.0, 0.0], [[1.0, 2.0], [2.0, 1.0]])])
 
+    @pytest.mark.parametrize(
+        "mean, cov, name",
+        [
+            ([math.nan, 0.0], np.eye(2), "mean"),
+            ([math.inf, 0.0], np.eye(2), "mean"),
+            ([0.0, 0.0], [[math.nan, 0.0], [0.0, 1.0]], "covariance"),
+            # a NaN off-diagonal passes the symmetry check: nan > tol is false
+            ([0.0, 0.0], [[1.0, math.nan], [math.nan, 1.0]], "covariance"),
+            ([0.0, 0.0], [[math.inf, 0.0], [0.0, 1.0]], "covariance"),
+        ],
+    )
+    def test_non_finite_parameters_rejected_by_name(self, mean, cov, name):
+        with pytest.raises(ValueError, match=f"{name} entries must be finite"):
+            GaussianMixture([(1.0, mean, cov)])
+
 
 class TestPdfAgainstSolveReference:
     """The whitened pdf agrees with the solve-based form to 1e-12 relative."""
@@ -235,6 +250,11 @@ class TestFitGaussian:
     def test_minimum_sample_count(self):
         with pytest.raises(InsufficientSamplesError, match="insufficient"):
             fit_gaussian(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]]))
+
+    def test_non_finite_sample_rejected(self):
+        samples = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0], [2.0, 2.0], [math.nan, 1.0]])
+        with pytest.raises(ValueError, match="mean entries must be finite"):
+            fit_gaussian(samples)
 
     def test_identical_samples_degenerate(self):
         samples = np.ones((10, 2))
