@@ -555,7 +555,7 @@ def run_experiment(config: ExperimentConfig) -> CampaignReport:
     benchmark = replace(
         benchmark,
         high_fidelity=_OneAtATime(benchmark.high_fidelity, lock),
-        surrogates=[_OneAtATime(s, lock) for s in benchmark.surrogates],
+        surrogates=tuple(_OneAtATime(s, lock) for s in benchmark.surrogates),
     )
     report = CampaignReport(config=config, config_hash=config.hash())
 

@@ -168,22 +168,31 @@ class GaussianMixture:
         # (d, d) product runs about 4x faster than through a transposed
         # view, with the same bits, and a one-row product gives the bits of
         # that row in a batch (through the view BLAS took another path for
-        # it).
-        try:
-            L = np.linalg.cholesky(cov)
-        except np.linalg.LinAlgError:
-            raise ValueError("covariance must be positive definite") from None
-        self._chol_t = np.ascontiguousarray(L.T)
-        self._whiten = np.ascontiguousarray(np.linalg.inv(L).T)
-        log_det = 2.0 * float(np.sum(np.log(np.diag(L))))
+        # it).  A standard normal (mean exactly 0, covariance exactly I) has
+        # L = I, and a product with I is exact: it stores no factor, and its
+        # batches are only copied column-major (at d = 1500 the factor and
+        # its inverse would cost 200 ms and 36 MB).
+        self._chol_t = self._whiten = None
+        log_det = 0.0
+        if mean.any() or np.count_nonzero(cov) != d or not (np.diagonal(cov) == 1.0).all():
+            try:
+                L = np.linalg.cholesky(cov)
+            except np.linalg.LinAlgError:
+                raise ValueError("covariance must be positive definite") from None
+            self._chol_t = np.ascontiguousarray(L.T)
+            self._whiten = np.ascontiguousarray(np.linalg.inv(L).T)
+            log_det = 2.0 * float(np.sum(np.log(np.diag(L))))
         self._log_norm = -0.5 * (d * _LOG_2PI + log_det)
         self.mean.setflags(write=False)
         self.covariance.setflags(write=False)
 
     def pdf(self, z) -> np.ndarray:
         """Density values at a batch of points (n, d)."""
-        centered = _as_points(z, self.d) - self.mean
-        y = np.matmul(centered, self._whiten, out=np.empty((self.d, len(centered))).T)
+        pts = _as_points(z, self.d)
+        if self._whiten is None:  # column-major as below: einsum may round by layout
+            y = np.asfortranarray(pts)
+        else:
+            y = np.matmul(pts - self.mean, self._whiten, out=np.empty((self.d, len(pts))).T)
         # exp(log_norm - 0.5 * quad), formed in the array einsum returns
         out = np.einsum("ij,ij->i", y, y)
         out *= -0.5
@@ -194,18 +203,21 @@ class GaussianMixture:
         """Draw `count` points through the Cholesky factor, shape (count, d)."""
         if count < 0:
             raise ValueError("count must be nonnegative")
-        normals = rng.standard_normal((count, self.d))
-        out = np.matmul(normals, self._chol_t, out=np.empty((self.d, count)).T)
-        out += self.mean
-        return out
+        return self._from_normals(rng.standard_normal((count, self.d)))
 
     def from_unit_cube(self, u: np.ndarray) -> np.ndarray:
         """Map unit-cube points (n, d) through the coordinate-wise normal
         quantile, then the Cholesky factor."""
         from scipy.special import ndtri  # here, so only this call loads SciPy
 
-        z = ndtri(np.clip(u, 1e-15, 1.0 - 1e-15))
-        out = np.matmul(z, self._chol_t, out=np.empty((self.d, len(z))).T)
+        return self._from_normals(ndtri(np.clip(u, 1e-15, 1.0 - 1e-15)))
+
+    def _from_normals(self, normals: np.ndarray) -> np.ndarray:
+        """mean + normals @ L.T, written column-major."""
+        if self._chol_t is None:
+            out = np.asfortranarray(normals)  # a fresh array, or normals itself
+        else:
+            out = np.matmul(normals, self._chol_t, out=np.empty((self.d, len(normals))).T)
         out += self.mean
         return out
 

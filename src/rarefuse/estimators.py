@@ -45,16 +45,17 @@ __all__ = [
 # many points) and changes no result: draws come off the generator in the
 # same order, each point is evaluated on its own, and sums are exact.  The
 # runner runs two bulk calls at once, so the chunk must keep the two within
-# the peak-memory bound of one call (tests/test_memory.py).  2**14 does,
-# and costs no time against a chunk of 2**16.
+# the peak-memory bound of one call (tests/test_memory.py).  2**14 does.
+# A chunk of 2**15 runs the bulk benchmark faster in two lanes, but raises
+# the peak resident memory of a fresh process by 3 MB (see README).
 _CHUNK = 1 << 14
 
 # Values per block of the exact-sum kernel.  The kernel's temporaries are a
 # few arrays of this length, so 2**16 keeps them in cache (about 3x faster
-# than one pass over 500k values).  The block must stay <= 2**26: mantissas
-# are split into halves below 2**27, so a per-exponent sum over one block
-# stays below 2**53 and every partial sum is an exactly representable
-# integer.
+# than one pass over 500k values).  The block must stay <= 2**26: each
+# mantissa is split into a multiple of 2**-27 of magnitude <= 1 and a rest
+# of magnitude <= 2**-28, so a per-exponent sum of either part over one
+# block is at most 2**53 of its unit and every partial sum is exact.
 _SUM_BLOCK = 1 << 16
 # At or below this length math.fsum is faster than the kernel.
 _SUM_SMALL = 512
@@ -109,11 +110,12 @@ def _exact_sum(chunks, repeat: int = 0, value: float = 0.0, center=None) -> floa
     ``center``, each array value x counts as ``(x - center) ** 2``, formed
     one block at a time, so no squared copy of the arrays is ever held.
 
-    Each value is m * 2**e with m * 2**53 an integer below 2**53 in
-    magnitude (subnormals included).  The arrays are cut into blocks of at
-    most ``_SUM_BLOCK`` values; in each block the integer is split into a
-    high and a low half and each half is summed per exponent with
-    ``np.bincount``; those sums are exact integers.  They are combined as
+    Each value is m * 2**e with |m| < 1 and m a multiple of 2**-53
+    (subnormals included).  The arrays are cut into blocks of at most
+    ``_SUM_BLOCK`` values; in each block m is rounded to a multiple of
+    2**-27 (adding and subtracting 1.5 * 2**25), the rest is exact, and
+    each part is summed per exponent with ``np.bincount``; those sums are
+    exact, and exact integers once scaled by 2**53.  They are combined as
     Python ints with the repeated value's exact integer multiple, and one
     int/int division rounds the exact total once.  Short lists go to
     ``math.fsum`` directly, which gives the same bits faster.  Non-finite
@@ -141,18 +143,19 @@ def _exact_sum(chunks, repeat: int = 0, value: float = 0.0, center=None) -> floa
         for start in range(0, values.shape[0], _SUM_BLOCK):
             block = values[start : start + _SUM_BLOCK]
             if center is not None:
-                block = (block - center) ** 2
+                block = block - center
+                block *= block
             if not np.isfinite(block).all():
                 raise ValueError("exact sum needs finite values")
             mant, exps = np.frexp(block)
-            mant *= 2.0**53
-            high = np.trunc(mant * 2.0**-26)
-            mant -= high * 2.0**26
+            high = mant + 1.5 * 2.0**25  # rounds m to a multiple of 2**-27
+            high -= 1.5 * 2.0**25
+            mant -= high  # the exact rest, a multiple of 2**-53
             exps += 1074  # frexp exponents of finite doubles are >= -1073
-            high_sums = np.bincount(exps, weights=high)
-            low_sums = np.bincount(exps, weights=mant)
+            high_sums = np.bincount(exps, weights=high) * 2.0**53
+            low_sums = np.bincount(exps, weights=mant) * 2.0**53
             for k in np.flatnonzero((high_sums != 0.0) | (low_sums != 0.0)).tolist():
-                total += ((int(high_sums[k]) << 26) + int(low_sums[k])) << k
+                total += (int(high_sums[k]) + int(low_sums[k])) << k
     return total / (1 << (1074 + 53))  # int / int true division rounds correctly
 
 
@@ -209,7 +212,7 @@ def importance_sampling_estimate(
     if biasing is nominal:
         hits = monte_carlo_estimate(model, ls, nominal, n, rng).hits
         hit_chunks, evals = [np.ones(hits)], n
-        low = high = 1.0  # the extreme hit weights
+        high = 1.0  # the largest hit weight
     elif not biasing.full_support:
         raise ValueError(
             "biasing density must have full support, or be the nominal density itself"
@@ -217,11 +220,11 @@ def importance_sampling_estimate(
     else:
         hit_chunks = []  # p/q at the failing draws of each chunk; every other weight is 0
         hits = evals = 0
-        low, high = math.inf, 0.0  # the extreme hit weights
+        high = 0.0  # the largest hit weight
         for batch in _batches(n):
             pts = biasing.sample(rng, batch)
             q_vals = biasing.pdf(pts)
-            if (q_vals <= 0.0).any():
+            if np.fmin.reduce(q_vals) <= 0.0:  # fmin skips NaN, as q <= 0 does
                 raise BrokenBiasingDensityError(
                     "biasing density evaluated to 0 at one of its own samples"
                 )
@@ -238,7 +241,7 @@ def importance_sampling_estimate(
             if not failed.any():
                 continue
             with np.errstate(over="ignore", invalid="ignore"):  # refused just below
-                ratio = p_vals[failed] / q_vals[failed]
+                ratio = (p_vals / q_vals)[failed]
             top = ratio.max()  # p > 0 and q > 0 here, so a bad weight is +inf or NaN
             if not math.isfinite(top):  # NaN propagates through the max
                 bad = int(np.count_nonzero(~np.isfinite(ratio)))
@@ -248,11 +251,11 @@ def importance_sampling_estimate(
                 )
             hit_chunks.append(ratio)
             hits += ratio.size
-            low, high = min(low, ratio.min()), max(high, top)
+            high = max(high, top)
 
     try:
         estimate = _exact_sum(hit_chunks) / n
-        if high == 0.0 or (low == high and hits == n):
+        if high == 0.0 or (hits == n and min(c.min() for c in hit_chunks) == high):
             # zero scatter by definition: every weight is 0 (weights are >= 0,
             # so the largest hit weight being 0 suffices), or all n draws hit
             # with one weight

@@ -17,6 +17,7 @@ Two desk-scale benchmarks are built in:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -97,7 +98,7 @@ class Benchmark:
     name: str
     nominal: object
     high_fidelity: Model
-    surrogates: list[Model]
+    surrogates: tuple[Model, ...]
     limit_state: LimitState
     _oracle: Callable[[int], float] = field(repr=False, default=None)
 
@@ -159,11 +160,11 @@ def make_linear_gaussian(
         name="linear-gaussian",
         nominal=nominal,
         high_fidelity=Model(hf, d),
-        surrogates=[
+        surrogates=(
             Model(surr_biased, d),
             Model(surr_scaled, d),
             Model(surr_constant, d),
-        ],
+        ),
         limit_state=LimitState(lambda y: beta - y[:, 0]),
         _oracle=oracle,
     )
@@ -232,11 +233,11 @@ def make_arrhenius_2d(tau: float = bc.B2_TAU) -> Benchmark:
         name="arrhenius-2d",
         nominal=nominal,
         high_fidelity=Model(hf, 2),
-        surrogates=[
+        surrogates=(
             Model(surr_taylor, 2),
             Model(surr_perturbed, 2),
             Model(surr_constant, 2),
-        ],
+        ),
         limit_state=LimitState(lambda y: tau - y[:, 0]),
         _oracle=oracle,
     )
@@ -254,7 +255,11 @@ _REGISTRY: dict[str, Callable[[], Benchmark]] = {
 }
 
 
+@functools.cache
 def get_benchmark(name: str) -> Benchmark:
+    """The registered benchmark ``name``, built once per process.  Its
+    densities and models are immutable, so callers share them, and a
+    density from one run compares by identity with the next run's."""
     try:
         factory = _REGISTRY[name]
     except KeyError:

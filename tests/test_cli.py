@@ -454,6 +454,21 @@ class TestRunExperiment:
         blank = [row["multiplier"] for row in rows if row["no_information"] == "true"]
         assert blank == ["0", "0"]
 
+    def test_fallback_density_is_the_registered_nominal(self, tmp_path):
+        # each benchmark is built once per process, so a fallback density
+        # from a run is the nominal of any later get_benchmark call
+        config = small_config(tmp_path, benchmark="arrhenius-2d", n_grid=[300])
+        report = run_experiment(config)
+        (fallback,) = {r.density for r in report.density_reports if r.fell_back_to_nominal}
+        bench = get_benchmark("arrhenius-2d")
+        assert bench is get_benchmark("arrhenius-2d")
+        assert isinstance(bench.surrogates, tuple)
+        res = importance_sampling_estimate(
+            bench.high_fidelity, bench.limit_state, bench.nominal, fallback, 300,
+            np.random.default_rng(1),
+        )
+        assert res.model_evals == 300
+
     def test_rows_follow_their_spawn_keys(self, tmp_path):
         # budget 4 is insufficient, so the usable budgets keep indices 1 and
         # 2 in their keys (2, n_idx, rep, slot); each estimates.csv row is

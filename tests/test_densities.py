@@ -14,7 +14,7 @@ from rarefuse.densities import (
 )
 from rarefuse.estimators import _CHUNK
 from rarefuse.mfis import build_biasing_density
-from rarefuse.models import benchmark_names, get_benchmark
+from rarefuse.models import benchmark_names, get_benchmark, make_linear_gaussian
 
 from helpers_oracles import (
     gaussian_mixture_pdf_solve,
@@ -432,6 +432,79 @@ class TestColumnMajorBatches:
         y = (np.ascontiguousarray(pts) - gm.mean) @ np.ascontiguousarray(np.linalg.inv(L).T)
         want = np.exp(log_norm - 0.5 * np.einsum("ij,ij->i", y, y))
         np.testing.assert_allclose(gm.pdf(pts), want, rtol=1e-12, atol=0.0)
+
+
+class TestStandardNormal:
+    """A Gaussian with mean exactly 0 and covariance exactly I stores no
+    factor.  Its sample, pdf and from_unit_cube give the bits of the general
+    path, formed here by hand through ``np.linalg.cholesky(np.eye(d))``
+    with the densities' column-major products, on C- and F-ordered input."""
+
+    @pytest.mark.parametrize("n", [1, 300])
+    @pytest.mark.parametrize("d", [2, 3, 50])
+    def test_same_bits_as_the_general_path(self, d, n):
+        L = np.linalg.cholesky(np.eye(d))
+        chol_t = np.ascontiguousarray(L.T)
+        whiten = np.ascontiguousarray(np.linalg.inv(L).T)
+        log_norm = -0.5 * (d * math.log(2.0 * math.pi) + 2.0 * float(np.sum(np.log(np.diag(L)))))
+        mean = np.zeros(d)
+
+        def color(normals):
+            out = np.matmul(normals, chol_t, out=np.empty((d, len(normals))).T)
+            out += mean
+            return out
+
+        gm = GaussianMixture([(1.0, np.zeros(d), np.eye(d))])
+        got = gm.sample(np.random.default_rng(n), n)
+        want = color(np.random.default_rng(n).standard_normal((n, d)))
+        assert got.tobytes() == want.tobytes() and got.flags.f_contiguous
+
+        rng = np.random.default_rng(d)
+        pts = 3.0 * rng.standard_normal((n, d))
+        y = np.matmul(pts - mean, whiten, out=np.empty((d, n)).T)
+        want = np.einsum("ij,ij->i", y, y)
+        want *= -0.5
+        want += log_norm
+        np.exp(want, out=want)
+        u = rng.random((n, d))
+        cube = color(ndtri(np.clip(u, 1e-15, 1.0 - 1e-15)))
+        for order in (np.ascontiguousarray, np.asfortranarray):
+            assert gm.pdf(order(pts)).tobytes() == want.tobytes()
+            got = gm.from_unit_cube(order(u))
+            assert got.tobytes() == cube.tobytes() and got.flags.f_contiguous
+
+    @pytest.mark.parametrize(
+        "change",
+        ["diagonal up", "diagonal down", "off-diagonal", "mean one ulp", "mean"],
+    )
+    def test_anything_else_takes_the_general_path(self, monkeypatch, change):
+        calls = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(a) or cholesky(a))
+        GaussianMixture([(1.0, np.zeros(3), np.eye(3))])
+        assert calls == []
+        mean, cov = np.zeros(3), np.eye(3)
+        if change == "diagonal up":
+            cov[1, 1] = np.nextafter(1.0, 2.0)
+        elif change == "diagonal down":
+            cov[1, 1] = np.nextafter(1.0, 0.0)
+        elif change == "off-diagonal":
+            cov[0, 2] = cov[2, 0] = 5e-324
+        else:
+            mean[2] = 5e-324 if change == "mean one ulp" else -1.5
+        GaussianMixture([(1.0, mean, cov)])
+        assert len(calls) == 1
+
+    def test_nominal_at_d1500_has_no_factor(self, monkeypatch):
+        def refuse(a):
+            raise AssertionError("no factor for a standard normal")
+
+        monkeypatch.setattr(np.linalg, "cholesky", refuse)
+        monkeypatch.setattr(np.linalg, "inv", refuse)
+        nominal = make_linear_gaussian(d=1500).nominal
+        pts = nominal.sample(np.random.default_rng(0), 4)
+        assert pts.tobytes() == np.random.default_rng(0).standard_normal((4, 1500)).tobytes()
+        assert nominal.pdf(pts).tolist() == [0.0] * 4  # underflows at d = 1500
 
 
 class TestSerialization:

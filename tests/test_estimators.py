@@ -368,6 +368,22 @@ class TestNonFiniteWeights:
         with pytest.raises(BrokenBiasingDensityError, match=message):
             importance_sampling_estimate(model, ls, p, q, 500, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("zero", [True, False])
+    def test_nan_q_beside_zero_q(self, zero):
+        # a zero q is refused even beside a NaN one; a NaN q alone is a
+        # NaN weight where the draw fails and no weight where it does not
+        def q_pdf(z):
+            q = np.where(z[:, 1] > 1.0, np.nan, 1.0)
+            q[(z[:, 1] < -1.0) & zero] = 0.0
+            return q
+
+        model, ls = failing_where_first_coordinate_positive()
+        message = "evaluated to 0" if zero else "non-finite"
+        with pytest.raises(BrokenBiasingDensityError, match=message):
+            importance_sampling_estimate(
+                model, ls, Flat(1.0), Flat(q_pdf), 500, np.random.default_rng(0)
+            )
+
     # Finite weights p/q whose sums overflow; at seed 3, 527 of 1000 draws
     # fail, so n=1000 takes the exact-sum kernel and n=100 math.fsum.
     # weights 1e155: estimate**2 overflows in the variance sum;
@@ -517,6 +533,36 @@ class TestExactSum:
             mp.setattr(est, "_SUM_BLOCK", block)
             got = est._exact_sum(parts, repeat, center * center, center=center)
         assert same_bits(got, expected)
+
+    @pytest.mark.parametrize("case", ["round up", "subnormals beside 2**1000", "mixed signs"])
+    def test_split_edge_cases(self, monkeypatch, case):
+        # each mantissa m is split into m rounded to a multiple of 2**-27,
+        # which may round up to +-1.0, and an exact rest
+        monkeypatch.setattr(est, "_SUM_SMALL", 0)
+        top = 1.0 - 2.0**-53  # the largest mantissa
+        exps = np.arange(-1073, 1024, 23)
+        if case == "round up":
+            # and ties of the rounding, which go to even
+            mants = [top, 0.5 + 2.0**-28, 0.5 + 3 * 2.0**-28, 1.0 - 2.0**-28]
+            x = np.concatenate([np.ldexp(m, exps) for m in mants])
+            x = np.concatenate([x, -x[::3]])
+        elif case == "subnormals beside 2**1000":
+            x = np.array([5e-324, top * 2.0**1000, -(2.0**1000), 3 * 5e-324, 2.0**-1030, -5e-324])
+        else:
+            rng = np.random.default_rng(0)
+            x = rng.uniform(0.5, 1.0, 5000) * np.exp2(rng.integers(-60, 60, 5000))
+            x *= rng.choice([-1.0, 1.0], 5000)
+            x = np.concatenate([x, -x[::2], np.ldexp(-top, exps)])
+        assert same_bits(est._exact_sum([x]), math.fsum(x))
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("mant", [1.0 - 2.0**-53, 0.5 + 2.0**-28 - 2.0**-53, 0.5 + 2.0**-28])
+    def test_full_block_of_equal_values(self, sign, mant):
+        # every value of a full block at one exponent: the per-exponent sums
+        # of both parts take their largest terms (the top mantissa's high
+        # part rounds up to 1, the others' rest is near 2**-28)
+        x = np.full(est._SUM_BLOCK, sign * mant * 2.0**1000)
+        assert same_bits(est._exact_sum([x]), math.fsum(x))
 
     @pytest.mark.parametrize("n", [10, 2000])
     def test_overflowing_square_refused(self, n):
