@@ -117,14 +117,20 @@ def _exact_sum(chunks, repeat: int = 0, value: float = 0.0, center=None) -> floa
     each part is summed per exponent with ``np.bincount``; those sums are
     exact, and exact integers once scaled by 2**53.  They are combined as
     Python ints with the repeated value's exact integer multiple, and one
-    int/int division rounds the exact total once.  Short lists go to
-    ``math.fsum`` directly, which gives the same bits faster.  Non-finite
-    values, the repeated one included, raise ``ValueError``.
+    int/int division rounds the exact total once.  Arrays of at most
+    ``_SUM_SMALL`` values in all go to ``math.fsum`` directly, which gives
+    the same bits faster; there the repeated value enters as one exact term
+    ``value * 2**k`` per set bit k of ``repeat`` (``OverflowError`` past
+    the float range).  Non-finite values, the repeated one included, raise
+    ``ValueError``.
     """
     if repeat and not math.isfinite(value):
         raise ValueError("exact sum needs finite values")
-    if sum(map(len, chunks)) + repeat <= _SUM_SMALL:
-        terms = [value] * repeat
+    if sum(map(len, chunks)) <= _SUM_SMALL:
+        terms = []
+        for k in range(repeat.bit_length()):  # a loop: no comprehension frame per call
+            if repeat >> k & 1:
+                terms.append(math.ldexp(value, k))
         for values in chunks:
             terms += (values if center is None else (values - center) ** 2).tolist()
         try:  # a non-finite term makes fsum return inf or NaN, or raise

@@ -51,12 +51,12 @@ class SubsetResult:
 
 
 def _reflect(x: np.ndarray) -> np.ndarray:
-    """Fold coordinates back into [0, 1] by reflection at the boundaries.
-
-    Coordinates already inside pass through bit-exactly.
+    """Fold coordinates in [-1, 2] back into [0, 1] by reflection at the
+    boundaries: x itself inside, else the bits of ``abs(mod(x + 1, 2) - 1)``,
+    formed with y = x + 1 as 1 - y below 0 and 3 - y (exact) above 1.
     """
-    folded = np.abs(np.mod(x + 1.0, 2.0) - 1.0)
-    return np.where((x >= 0.0) & (x <= 1.0), x, folded)
+    y = x + 1.0
+    return np.where(x > 1.0, 3.0 - y, np.where(x < 0.0, 1.0 - y, x))
 
 
 def _metropolis_move(states, g_states, threshold, width, rng, g_of_points):
@@ -68,7 +68,11 @@ def _metropolis_move(states, g_states, threshold, width, rng, g_of_points):
     candidate is kept iff its g stays at or below ``threshold``, otherwise
     its chain repeats the current state.  All candidates are evaluated in
     one ``g_of_points`` call.  Returns the new states and their g values.
+    ``width`` must lie in [0, 1], so that every candidate lies in [-1, 2],
+    the domain of :func:`_reflect`.
     """
+    if not 0.0 <= width <= 1.0:
+        raise ValueError("the proposal width must lie in [0, 1]")
     candidates = _reflect(states + rng.uniform(-width, width, size=states.shape))
     g_cand = g_of_points(candidates)
     accept = g_cand <= threshold
@@ -118,20 +122,25 @@ def _chain_correlation_factor(ind: np.ndarray, filled: np.ndarray) -> float:
     ``ind`` and ``filled`` are (chains, steps) grids with one chain per
     row, as :func:`_grow_chains` returns them; ``ind`` is 0 outside
     ``filled``.  Sums of 0/1 products are exact, so the result does not
-    depend on the summation order.
+    depend on the summation order.  Each lag takes one dot of the rows
+    padded with ``steps`` zeros and raveled: no pair spans two chains.
     """
     n = int(np.count_nonzero(filled))
-    n_chains = filled.shape[0]
+    n_chains, steps = filled.shape
     p = float(ind.sum()) / n
     r0 = p * (1.0 - p)
-    if r0 == 0.0:
+    if r0 == 0.0 or n // n_chains <= 1:  # no scatter, or no lag (N chains of one)
         return 0.0
+    padded = np.zeros((n_chains, 2 * steps))
+    padded[:, :steps] = ind
+    flat = padded.ravel()
+    # pairs_from[lag] is the number of filled entries at or past column lag
+    pairs_from = np.cumsum(np.count_nonzero(filled, axis=0)[::-1])[::-1].tolist()
     gamma = 0.0
     for lag in range(1, n // n_chains):
         # lag < N/Nc <= the longest chain, so pairs > 0
-        pairs = int(np.count_nonzero(filled[:, lag:]))
-        num = float(np.vdot(ind[:, :-lag], ind[:, lag:]))
-        rho = (num / pairs - p * p) / r0
+        num = float(np.dot(flat[:-lag], flat[lag:]))
+        rho = (num / pairs_from[lag] - p * p) / r0
         gamma += 2.0 * (1.0 - lag * n_chains / n) * rho
     return gamma
 

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -524,3 +525,52 @@ class TestSerialization:
         assert UniformBox([0], [1]).to_dict()["type"] == "uniform_box"
         gm = GaussianMixture([(1.0, [0.0], [[1.0]])])
         assert gm.to_dict()["type"] == "gaussian_mixture"
+
+
+class TestUnitCubeBatches:
+    """``from_unit_cube`` takes (n, d) batches of any memory layout and
+    refuses every other shape."""
+
+    @pytest.mark.parametrize("n", [1, 200, 2**14 + 3])
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_box_gives_the_bits_of_the_affine_map(self, n, layout):
+        box = UniformBox([1.0e13, -2.0, 0.25], [3.7e13, 5.0, 0.5])
+        u = np.random.default_rng(n).random((2 * n, 6))
+        u = {"C": np.ascontiguousarray(u[:n, :3]), "F": np.asfortranarray(u[:n, :3]),
+             "strided": u[::2, ::2]}[layout]
+        want = box.lower + (box.upper - box.lower) * u
+        got = box.from_unit_cube(u)
+        assert got.shape == (n, 3) and got.flags.f_contiguous
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "density",
+        [UniformBox([0.0, 0.0], [1.0, 2.0]), GaussianMixture([(1.0, [0.0, 1.0], np.eye(2))])],
+        ids=["box", "gaussian"],
+    )
+    @pytest.mark.parametrize(
+        "u", [[[0.5], [0.25]], [0.5, 0.25], [[0.5, 0.25, 0.1]]], ids=["(n, 1)", "1-d", "(n, d+1)"]
+    )
+    def test_wrong_shape_refused(self, density, u):
+        with pytest.raises(ValueError, match=r"points must have shape \(n, 2\)"):
+            density.from_unit_cube(np.array(u))
+
+
+class TestSymmetryCheck:
+    def test_d1500_nominal_builds_without_a_square_temporary(self):
+        cov = np.eye(1500)  # 18 MB, allocated before the trace
+        tracemalloc.start()
+        try:
+            GaussianMixture([(1.0, np.zeros(1500), cov)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6e6  # measured 3.1 MB; a d x d float temporary is 18 MB
+
+    def test_asymmetry_in_the_last_block_refused(self):
+        cov = np.eye(300)
+        cov[299, 290] = 1e-9
+        with pytest.raises(ValueError, match="symmetric"):
+            GaussianMixture([(1.0, np.zeros(300), cov)])
+        cov[290, 299] = 1e-9
+        GaussianMixture([(1.0, np.zeros(300), cov)])

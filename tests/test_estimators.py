@@ -1,6 +1,7 @@
 import math
 import re
 import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -576,6 +577,45 @@ class TestExactSum:
     def test_non_finite_repeated_value_refused(self, repeat, bad):
         with pytest.raises(ValueError, match="finite"):
             est._exact_sum([np.ones(10)], repeat, bad)
+
+
+class TestRepeatedTerm:
+    """Beside at most ``_SUM_SMALL`` array values, the repeated value enters
+    fsum as one exact term per set bit of ``repeat``."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(0, est._SUM_SMALL),
+        st.integers(1, 5000),
+        _finite_doubles,
+    )
+    def test_matches_fsum_of_the_copies(self, seed, n, repeat, value):
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(-1.0, 1.0, n) * np.exp2(rng.integers(-300, 301, n))
+        assert same_bits(
+            est._exact_sum([x], repeat, value), math.fsum(x.tolist() + [value] * repeat)
+        )
+
+    @pytest.mark.parametrize("value", [0.1, 3.0, 1e-300, 5e-324])
+    def test_huge_repeat_is_rounded_once(self, value):
+        x = np.array([1.0, -2.5e-17, 7.0e20])
+        total = sum(map(Fraction, x.tolist())) + 2**40 * Fraction(value)
+        assert same_bits(est._exact_sum([x], 2**40, value), float(total))
+
+    def test_overflowing_repeated_term_raises(self):
+        with pytest.raises(OverflowError):
+            est._exact_sum([np.ones(3)], 2**20, 1e305)
+
+    def test_overflowing_repeated_term_breaks_the_density(self):
+        # at seed 3 about half of 100 draws fail with weight 1e154: each
+        # squared deviation is finite, their sum is not, and the ~50 copies
+        # of estimate**2 (about 2.5e307) overflow once doubled
+        model, ls = failing_where_first_coordinate_positive()
+        with pytest.raises(BrokenBiasingDensityError, match=re.escape("1e+154")):
+            importance_sampling_estimate(
+                model, ls, Flat(1e300), Flat(1e146), 100, np.random.default_rng(3)
+            )
 
 
 class TestAgainstReferenceLoop:

@@ -12,6 +12,7 @@ from rarefuse.subset_sim import (
     _chain_correlation_factor,
     _grow_chains,
     _metropolis_move,
+    _reflect,
     subset_simulation,
 )
 
@@ -338,3 +339,35 @@ class TestChainKernel:
         assert np.all(g_vals <= threshold)
         assert np.all((points >= 0.0) & (points <= 1.0))
         np.testing.assert_array_equal(grid[:, 0], seeds)
+
+
+class TestReflect:
+    """The mod-free reflection gives the bits of abs(mod(x + 1, 2) - 1)
+    outside [0, 1], and x itself inside, over its domain [-1, 2]."""
+
+    @staticmethod
+    def mod_form(x):
+        folded = np.abs(np.mod(x + 1.0, 2.0) - 1.0)
+        return np.where((x >= 0.0) & (x <= 1.0), x, folded)
+
+    def test_same_bits_as_the_mod_form(self):
+        rng = np.random.default_rng(0)
+        near = rng.uniform(-(2.0**-41), 2.0**-41, 100_000)
+        edges = [0.0, -0.0, -5e-324, -1.0, 1.0, 1.0 + 2.0**-52, 1.0 + 2.0**-51,
+                 2.0 - 2.0**-52, 2.0, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0)]
+        x = np.concatenate([rng.uniform(-1.0, 2.0, 200_000), near, 1.0 + near, edges])
+        got = _reflect(x)
+        assert got.tobytes() == self.mod_form(x).tobytes()
+        assert np.all((got >= 0.0) & (got <= 1.0))
+
+    @pytest.mark.parametrize("width", [1.5, -0.1, math.nan])
+    def test_move_refuses_a_width_outside_the_unit_interval(self, width):
+        state = np.array([[0.3, 0.7]])
+        with pytest.raises(ValueError, match="width"):
+            _metropolis_move(state, NO_G, 2.0, width, np.random.default_rng(0), g_sum)
+
+    def test_move_at_the_largest_width_stays_in_the_cube(self):
+        rng = np.random.default_rng(2)
+        state = rng.random((2000, 3))
+        out, _ = _metropolis_move(state, NO_G, math.inf, 1.0, rng, lambda u: np.zeros(len(u)))
+        assert np.all((out >= 0.0) & (out <= 1.0))
