@@ -95,6 +95,19 @@ def _require_count(name: str, value, minimum: int, maximum: float = math.inf) ->
         raise ConfigError(f"{name} must be <= {maximum}")
 
 
+def _from_object(cls, doc, name: str):
+    """``cls(**doc)`` for the JSON object ``doc``, or a ``ConfigError``."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{name} must be a JSON object")
+    unknown = set(doc) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
+    try:
+        return cls(**doc)
+    except TypeError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 @dataclass(frozen=True)
 class SubsetSettings:
     N: int = 2000
@@ -122,6 +135,13 @@ class ExperimentConfig:
     subset: SubsetSettings = field(default_factory=SubsetSettings)
 
     def __post_init__(self):
+        # a config built in Python is normalised and checked as a parsed one
+        if not isinstance(self.subset, SubsetSettings):  # JSON null means the defaults
+            doc = {} if self.subset is None else self.subset
+            object.__setattr__(self, "subset", _from_object(SubsetSettings, doc, "subset"))
+        if not isinstance(self.n_grid, (list, tuple)):
+            raise ConfigError(f"n_grid must be a list, got {self.n_grid!r}")
+        object.__setattr__(self, "n_grid", tuple(self.n_grid))
         if self.benchmark not in benchmark_names():
             raise ConfigError(
                 f"unknown benchmark {self.benchmark!r}; known: "
@@ -156,28 +176,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        if not isinstance(doc, dict):
-            raise ConfigError("config must be a JSON object")
-        unknown = set(doc) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        if "benchmark" not in doc:
+        if isinstance(doc, dict) and "benchmark" not in doc:
             raise ConfigError("config requires a 'benchmark' name")
-        kwargs = dict(doc)
-        subset_doc = kwargs.pop("subset", None)
-        try:
-            if "n_grid" in kwargs:
-                kwargs["n_grid"] = tuple(kwargs["n_grid"])
-            if subset_doc is not None:
-                if not isinstance(subset_doc, dict):
-                    raise ConfigError("subset must be a JSON object")
-                sub_unknown = set(subset_doc) - {f.name for f in fields(SubsetSettings)}
-                if sub_unknown:
-                    raise ConfigError(f"unknown subset keys: {sorted(sub_unknown)}")
-                kwargs["subset"] = SubsetSettings(**subset_doc)
-            return cls(**kwargs)
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from None
+        return _from_object(cls, doc, "config")
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
@@ -188,9 +189,7 @@ class ExperimentConfig:
         return cls.from_dict(doc)
 
     def to_dict(self) -> dict:
-        doc = asdict(self)
-        doc["n_grid"] = list(self.n_grid)
-        return doc
+        return asdict(self)
 
     def hash(self) -> str:
         # identifies the experiment itself; where outputs land is not part of it
@@ -294,9 +293,11 @@ def _run_units(seed: int, keys: list, calls, points: list):
     takes the next unit, largest first, as it comes free, so the lane
     that finishes last waits on a short unit.  If units raise, every unit
     still runs, and the error of the lowest-index one is raised, as a
-    serial loop would.  Otherwise no thread starts and each unit runs
-    here, in input order, as its result is read, so a lazy ``calls``
-    keeps a serial phase to one unit at a time.
+    serial loop would; an interrupt or ``SystemExit`` on either lane
+    stops both after their current unit and is raised.  Otherwise no
+    thread starts and each unit runs here, in input order, as its result
+    is read, so a lazy ``calls`` keeps a serial phase to one unit at a
+    time.
     """
     rows = _stream(seed, keys) if keys else []  # _stream needs a key
     if max(points, default=0) <= _LANE_POINTS:
@@ -312,6 +313,9 @@ def _run_units(seed: int, keys: list, calls, points: list):
                 results[i] = call(_generator(words))
             except Exception as exc:
                 errors[i] = exc
+            except BaseException as exc:  # Ctrl-C or SystemExit: raised before any unit's error
+                errors[-1] = exc
+                list(units)  # empty the queue: both lanes stop after their current unit
 
     other = threading.Thread(target=lane)
     other.start()

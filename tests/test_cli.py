@@ -15,6 +15,7 @@ import pytest
 from rarefuse.cli import (
     ConfigError,
     ExperimentConfig,
+    SubsetSettings,
     _split_budget,
     main,
     run_experiment,
@@ -208,6 +209,52 @@ class TestConfig:
         a = ExperimentConfig.from_dict({"benchmark": "linear-gaussian", "seed": 1})
         b = ExperimentConfig.from_dict({"benchmark": "linear-gaussian", "seed": 2})
         assert a.hash() != b.hash()
+
+
+class TestOneConstructionPath:
+    """A config built in Python is normalised, checked and hashed as the
+    same config parsed from JSON."""
+
+    def test_python_built_config_equals_the_parsed_one(self):
+        doc = {"benchmark": "arrhenius-2d", "n_grid": [300, 600], "subset": {"N": 500}}
+        built = ExperimentConfig("arrhenius-2d", n_grid=[300, 600], subset={"N": 500})
+        parsed = ExperimentConfig.from_dict(json.loads(json.dumps(doc)))
+        assert isinstance(built.subset, SubsetSettings)
+        assert built.n_grid == (300, 600)
+        assert built == parsed
+        assert built.hash() == parsed.hash()
+
+    @pytest.mark.parametrize(
+        "subset, match",
+        [({"N": 5}, "subset.N"), (5, "JSON object"), ([], "JSON object"),
+         ({"burn_in": 3}, "unknown subset keys")],
+        ids=["N-5", "number", "list", "unknown-key"],
+    )
+    def test_bad_subset_raises_at_construction(self, subset, match):
+        with pytest.raises(ConfigError, match=match):
+            ExperimentConfig("arrhenius-2d", subset=subset)
+
+    def test_null_subset_means_the_defaults(self):
+        c = ExperimentConfig.from_dict(json.loads('{"benchmark": "arrhenius-2d", "subset": null}'))
+        assert c.subset == SubsetSettings()
+        assert c.hash() == ExperimentConfig("arrhenius-2d").hash()
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"mode": "build_densities"}, {"mode": "fuse"}, {"mode": "subset"}, {"mode": "all"},
+         {"mode": "build_densities", "threshold_relax": 1}],
+        ids=["build_densities", "fuse", "subset", "all", "integer-threshold-relax"],
+    )
+    def test_report_config_hashes_to_the_run_hash(self, tmp_path, overrides):
+        doc = {
+            "benchmark": "linear-gaussian-2.5", "m": 2000, "n_grid": [300], "seed": 3,
+            "output_dir": str(tmp_path / "out"), "subset": {"N": 200, "max_levels": 2},
+            **overrides,
+        }
+        report = run_experiment(ExperimentConfig.from_dict(doc))
+        written = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert written["config_hash"] == report.config_hash
+        assert ExperimentConfig.from_dict(written["config"]).hash() == report.config_hash
 
 
 class TestRunExperiment:

@@ -164,6 +164,34 @@ class TestRunUnits:
         assert len({thread for _, thread in ran}) == 2
 
 
+class Interrupt(BaseException):
+    """Stands in for KeyboardInterrupt, which would stop pytest itself."""
+
+
+class TestInterrupts:
+    @pytest.mark.parametrize("lane", ["calling", "second"])
+    def test_interrupt_stops_both_lanes_and_is_raised(self, lane, started):
+        """An interrupt on either lane empties the queue, so both lanes stop
+        after their current unit, and it is raised before the error of a
+        lower-index unit."""
+        here, n, ran = threading.get_ident(), 100, []
+
+        def call(i):
+            ran.append(i)
+            time.sleep(0.01)  # releases the GIL, so both lanes take units
+            if i == 0:
+                raise RuntimeError("unit 0")
+            if len(ran) > 4 and (threading.get_ident() == here) == (lane == "calling"):
+                raise Interrupt(i)
+            return i
+
+        calls = [lambda rng, i=i: call(i) for i in range(n)]
+        with pytest.raises(Interrupt):
+            cli._run_units(3, keys(n), calls, [L + 1] * n)
+        assert len(started) == 1 and not started[0].is_alive()
+        assert len(ran) < 20
+
+
 SMALL_CONFIGS = {
     "is-many-small-arrhenius": {
         "benchmark": "arrhenius-2d",
