@@ -117,6 +117,8 @@ class SubsetSettings:
     def __post_init__(self):
         _require_count("subset.N", self.N, 100, _MAX_SIZE)
         _require_count("subset.max_levels", self.max_levels, 1)
+        if isinstance(self.p0, bool) or not isinstance(self.p0, (int, float)):
+            raise ConfigError(f"subset.p0 must be a number, got {self.p0!r}")
         if not 0.0 < self.p0 < 1.0:
             raise ConfigError("subset.p0 must lie strictly between 0 and 1")
 
@@ -127,11 +129,10 @@ class ExperimentConfig:
     mode: str = "all"
     m: int = 20000
     n_grid: tuple[int, ...] = (300, 600, 900, 1200)
-    split: str = "equal"
     seed: int = 0
     repetitions: int = 1
     output_dir: str = "rarefuse_out"
-    threshold_relax: float | None = None
+    threshold_relax: float = 0.0
     subset: SubsetSettings = field(default_factory=SubsetSettings)
 
     def __post_init__(self):
@@ -159,20 +160,18 @@ class ExperimentConfig:
             _require_count("n_grid entry", n, 1, _MAX_SIZE)
         if any(a >= b for a, b in zip(self.n_grid, self.n_grid[1:])):
             raise ConfigError("n_grid must be strictly ascending")
-        if self.split != "equal":
-            raise ConfigError("only the 'equal' split rule is supported")
         if not isinstance(self.output_dir, str):
             raise ConfigError(f"output_dir must be a string, got {self.output_dir!r}")
-        relax = self.threshold_relax
-        if relax is not None:
-            number = isinstance(relax, (int, float)) and not isinstance(relax, bool)
-            try:  # stored as a float, so 1 and 1.0 hash alike
-                value = float(relax) if number else math.nan
-            except OverflowError:  # an integer past the float range
-                raise ConfigError("threshold_relax is too large for a float") from None
-            if not (math.isfinite(value) and value >= 0):
-                raise ConfigError(f"threshold_relax must be a finite number >= 0, got {relax!r}")
-            object.__setattr__(self, "threshold_relax", value)
+        # JSON null means 0; stored as a float, so null, 0 and 0.0 hash alike
+        relax = 0.0 if self.threshold_relax is None else self.threshold_relax
+        number = isinstance(relax, (int, float)) and not isinstance(relax, bool)
+        try:
+            value = float(relax) if number else math.nan
+        except OverflowError:  # an integer past the float range
+            raise ConfigError("threshold_relax is too large for a float") from None
+        if not (math.isfinite(value) and value >= 0):
+            raise ConfigError(f"threshold_relax must be a finite number >= 0, got {relax!r}")
+        object.__setattr__(self, "threshold_relax", value)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
@@ -448,7 +447,6 @@ def _estimate_phase(config: ExperimentConfig, benchmark: Benchmark, report: Camp
                     **base,
                     "estimate": fused.estimate,
                     "variance": fused.variance,
-                    "multiplier": 0.0 - fused.variance,  # not -variance, which prints -0
                     "no_information": fused.no_information,
                     **{f"alpha_{i + 1}": float(w) for i, w in enumerate(fused.weights)},
                 }

@@ -111,6 +111,7 @@ BAD_VALUES = [
     {"subset": {"N": 2**63}},
     {"repetitions": 2**32 + 1},
     {"split": "by-cost"},
+    {"split": "equal"},
     {"n_grid": 300},
     {"n_grid": None},
 ]
@@ -142,6 +143,7 @@ BAD_VALUE_IDS = [
     "subset-N-2-63",
     "repetitions-2-32-plus-1",
     "split-by-cost",
+    "split-equal",
     "n-grid-number",
     "n-grid-null",
 ]
@@ -204,6 +206,11 @@ class TestConfig:
     def test_hash_same_for_equal_threshold_relax(self):
         a, b = (ExperimentConfig("linear-gaussian", threshold_relax=r) for r in (1, 1.0))
         assert a.hash() == b.hash()
+        # absent, null, 0 and 0.0 are one experiment, stored as the float 0.0
+        zeros = [{}, *({"threshold_relax": r} for r in (None, 0, 0.0))]
+        configs = [ExperimentConfig.from_dict({"benchmark": "linear-gaussian", **d}) for d in zeros]
+        assert {c.hash() for c in configs} == {configs[0].hash()}
+        assert all(type(c.threshold_relax) is float for c in configs)
 
     def test_hash_tracks_parameters(self):
         a = ExperimentConfig.from_dict({"benchmark": "linear-gaussian", "seed": 1})
@@ -227,12 +234,17 @@ class TestOneConstructionPath:
     @pytest.mark.parametrize(
         "subset, match",
         [({"N": 5}, "subset.N"), (5, "JSON object"), ([], "JSON object"),
-         ({"burn_in": 3}, "unknown subset keys")],
-        ids=["N-5", "number", "list", "unknown-key"],
+         ({"burn_in": 3}, "unknown subset keys"), ({"p0": "0.1"}, "subset.p0"),
+         ({"p0": None}, "subset.p0")],
+        ids=["N-5", "number", "list", "unknown-key", "p0-string", "p0-null"],
     )
     def test_bad_subset_raises_at_construction(self, subset, match):
         with pytest.raises(ConfigError, match=match):
             ExperimentConfig("arrhenius-2d", subset=subset)
+
+    def test_string_p0_raises_in_subset_settings(self):
+        with pytest.raises(ConfigError, match="subset.p0 must be a number"):
+            SubsetSettings(p0="0.1")
 
     def test_null_subset_means_the_defaults(self):
         c = ExperimentConfig.from_dict(json.loads('{"benchmark": "arrhenius-2d", "subset": null}'))
@@ -490,17 +502,6 @@ class TestRunExperiment:
         assert fused["30"] == "nan"
         assert float(fused["3000"]) == float(np.mean(sds["3000"]))
 
-    def test_multiplier_is_minus_the_variance(self, tmp_path):
-        # the Lagrange multiplier of the sum-to-one constraint; a result
-        # with no information (every row at n_total 30) has variance 0 and
-        # must print 0, not -0
-        config = small_config(tmp_path, benchmark="arrhenius-2d", n_grid=[30, 3000])
-        run_experiment(config)
-        rows = read_csv(Path(config.output_dir) / "weights.csv")
-        assert all(float(row["multiplier"]) == -float(row["variance"]) for row in rows)
-        blank = [row["multiplier"] for row in rows if row["no_information"] == "true"]
-        assert blank == ["0", "0"]
-
     def test_fallback_density_is_the_registered_nominal(self, tmp_path):
         # each benchmark is built once per process, so a fallback density
         # from a run is the nominal of any later get_benchmark call
@@ -576,7 +577,7 @@ class TestRunExperiment:
             "estimates.csv": "config_hash,seed,n_total,repetition,density_id,kind,n,"
             "estimate,sample_variance,hits,rmse,cv",
             "weights.csv": "config_hash,seed,n_total,repetition,estimate,variance,"
-            "multiplier,no_information,alpha_1,alpha_2,alpha_3",
+            "no_information,alpha_1,alpha_2,alpha_3",
             "convergence.csv": "n,estimator_id,estimate,rmse,cv,cv_reps,flag",
             "subset.csv": "config_hash,seed,repetition,samples,samples_each_level,"
             "levels,estimate,approx_cv,converged,model_evals",
