@@ -16,7 +16,6 @@ Commands::
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import math
@@ -49,20 +48,26 @@ MODES = ("build_densities", "fuse", "subset", "all")
 _STATS = ("estimate", "rmse", "cv")
 
 
-def _estimate_row(res) -> dict:
-    """The estimates.csv columns of one estimator result.  A zero estimate
+# the estimates.csv values of one estimator call: its own, then its rmse and cv; a
+# budget holds (repetitions, k + 2) of them
+_RESULT = np.dtype(
+    [("estimate", float), ("sample_variance", float), ("hits", np.int64)]
+    + [("rmse", float), ("cv", float)]
+)
+_ESTIMATE_COLUMNS = ("density_id", "kind", "n", *_RESULT.names)
+
+
+def _result(res) -> tuple:
+    """The ``_RESULT`` fields of one estimator result.  A zero estimate
     carries no information about its error, so its rmse and cv are nan."""
-    zero = res.estimate <= 0.0
-    return {
-        "density_id": res.density_id,
-        "kind": res.kind,
-        "n": res.n,
-        "estimate": res.estimate,
-        "sample_variance": res.sample_variance,
-        "hits": res.hits,
-        "rmse": float("nan") if zero else rmse(res),
-        "cv": float("nan") if zero else cv(res),
-    }
+    # per result: cv()'s Python x**2 is libm pow, not NumPy's x*x, so vectorised it changes bytes
+    errors = (math.nan, math.nan) if res.estimate <= 0.0 else (rmse(res), cv(res))
+    return res.estimate, res.sample_variance, res.hits, *errors
+
+
+def _estimate_row(res) -> dict:
+    """The estimates.csv columns of one estimator result, past the run columns."""
+    return dict(zip(_ESTIMATE_COLUMNS, (res.density_id, res.kind, res.n, *_result(res))))
 
 
 def _subset_row(result, n_each_level: int) -> dict:
@@ -198,20 +203,59 @@ class ExperimentConfig:
         return hashlib.sha256(canonical.encode()).hexdigest()[:12]
 
 
+@dataclass(frozen=True)
+class BudgetResults:
+    """The estimator results of one budget; row r is repetition r.  ``results``
+    holds a ``_RESULT`` per slot (IS on each density, MC, IS on the reference),
+    ``slots`` each slot's (density_id, kind, n), and ``fused`` the fused
+    estimate, variance, no_information flag and k weights."""
+
+    n_total: int
+    slots: list[tuple[str, str, int]]
+    results: np.ndarray
+    fused: np.ndarray
+
+
 @dataclass
 class CampaignReport:
     config: ExperimentConfig
     config_hash: str
     density_reports: list[BiasingBuildReport] = field(default_factory=list)
     reference_report: BiasingBuildReport | None = None
-    estimator_rows: list[dict] = field(default_factory=list)
-    fused_rows: list[dict] = field(default_factory=list)
+    budgets: list[BudgetResults] = field(default_factory=list)
     convergence_rows: list[dict] = field(default_factory=list)
     subset_rows: list[dict] = field(default_factory=list)
     subset_levels: list[list[dict]] = field(default_factory=list)
     budget: dict = field(default_factory=dict)
     timings: dict = field(default_factory=dict)
     files: list[str] = field(default_factory=list)
+
+    # the estimates.csv and weights.csv rows, built from the budgets on each access
+    estimator_rows = property(lambda self: list(_estimate_rows(self)))
+    fused_rows = property(lambda self: list(_fused_rows(self)))
+
+
+def _runs(report: CampaignReport):
+    """(budget, repetition, the run columns) of each repetition that ran."""
+    run = {"config_hash": report.config_hash, "seed": report.config.seed}
+    for b in report.budgets:
+        for rep in range(len(b.results)):
+            yield b, rep, {**run, "n_total": b.n_total, "repetition": rep}
+
+
+def _estimate_rows(report: CampaignReport):
+    """The estimates.csv rows: each repetition's slots in turn."""
+    for b, rep, run in _runs(report):
+        for slot, result in zip(b.slots, b.results[rep].tolist()):
+            yield {**run, **dict(zip(_ESTIMATE_COLUMNS, slot + result))}
+
+
+def _fused_rows(report: CampaignReport):
+    """The weights.csv rows: the fused result of each repetition."""
+    for b, rep, run in _runs(report):
+        estimate, variance, no_information, weights = b.fused[rep].item()
+        fused = {"estimate": estimate, "variance": variance, "no_information": no_information}
+        yield {**run, **fused, **{f"alpha_{i + 1}": w for i, w in enumerate(weights.tolist())}}
 
 
 # SeedSequence's hash constants (numpy/random/bit_generator.pyx)
@@ -348,31 +392,29 @@ def _split_budget(n: int, k: int) -> list[int]:
     return [base + 1 if i < rem else base for i in range(k)]
 
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return format(value, ".17g")
-    if value is None:
-        return ""
-    return str(value)
+# CSV text of a value, by its exact type.  Every field is a number, a flag,
+# the config hash or an estimator id, so none needs quoting.
+_FORMAT = {float: "{:.17g}".format, int: str, str: str, type(None): lambda value: ""}
+_FORMAT[bool] = lambda value: "true" if value else "false"
 
 
-def _write_csv(path: Path, rows: list[dict]) -> None:
-    """The first row's keys are the header; every row has the same keys."""
+def _write_csv(path: Path, rows) -> None:
+    """Write the rows as they come; the first row's keys are the header."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(rows[0])
-        for row in rows:
-            writer.writerow([_fmt(value) for value in row.values()])
+        for i, row in enumerate(rows):
+            if i == 0:
+                fh.write(",".join(row) + "\n")
+            fh.write(",".join([_FORMAT[type(value)](value) for value in row.values()]) + "\n")
 
 
-def _means(rows: list[dict]) -> dict:
-    """The convergence.csv statistics of one estimator's rows at one budget;
-    all four are empty when the budget ran no repetitions."""
-    finite = {s: [r[s] for r in rows if math.isfinite(r[s])] for s in _STATS}
-    means = {s: float(np.mean(v)) if v else math.nan for s, v in finite.items()}
-    return {**means, "cv_reps": len(finite["cv"])} if rows else dict.fromkeys([*_STATS, "cv_reps"])
+def _means(*columns) -> dict:
+    """The convergence.csv statistics of one estimator at one budget, from
+    its estimate, rmse and cv at each repetition; all four are empty when
+    the budget ran no repetitions."""
+    finite = [c[np.isfinite(c)] for c in map(np.asarray, columns)]
+    means = {s: float(c.mean()) if c.size else math.nan for s, c in zip(_STATS, finite)}
+    stats = {**means, "cv_reps": finite[-1].size}
+    return stats if len(columns[0]) else dict.fromkeys(stats)
 
 
 def _build_phase(config: ExperimentConfig, benchmark: Benchmark, report: CampaignReport):
@@ -421,48 +463,31 @@ def _estimate_phase(config: ExperimentConfig, benchmark: Benchmark, report: Camp
         (call for units in budgets.values() for _ in reps for call, _ in units),
         [n for units in budgets.values() for _ in reps for _, n in units],
     )
+    fused_fields = [("estimate", float), ("variance", float), ("no_information", bool)]
     hf_evaluations = spent = 0
     for n_idx, n_total in enumerate(config.n_grid):
         # each estimator's estimate, rmse and cv at every repetition
-        per_rep: dict[str, list[dict]] = {e: [] for e in estimator_ids}
-        for rep in reps if n_idx in budgets else ():
-            spent += n_total
-            results = [next(done) for _ in slot_keys]
-            fused = fuse(results[:k])
-            hf_evaluations += sum(res.model_evals for res in results)
-
-            base = {
-                "config_hash": report.config_hash,
-                "seed": config.seed,
-                "n_total": n_total,
-                "repetition": rep,
-            }
-            for res in results:
-                row = {**base, **_estimate_row(res)}
-                report.estimator_rows.append(row)
-                per_rep[res.density_id].append(row)
-
-            report.fused_rows.append(
-                {
-                    **base,
-                    "estimate": fused.estimate,
-                    "variance": fused.variance,
-                    "no_information": fused.no_information,
-                    **{f"alpha_{i + 1}": float(w) for i, w in enumerate(fused.weights)},
-                }
-            )
-            sd = float(np.sqrt(fused.variance))
-            per_rep["fused"].append(
-                {
-                    "estimate": fused.estimate,
-                    "rmse": float("nan") if fused.no_information else sd,
-                    "cv": sd / fused.estimate if fused.estimate > 0 else float("nan"),
-                }
-            )
-
+        columns = dict.fromkeys(estimator_ids, ((), (), ()))
+        if n_idx in budgets:
+            results = np.empty((config.repetitions, len(slot_keys)), _RESULT)
+            fused = np.empty(config.repetitions, [*fused_fields, ("weights", float, (k,))])
+            for rep in reps:
+                spent += n_total
+                units = [next(done) for _ in slot_keys]
+                f = fuse(units[:k])
+                hf_evaluations += sum(res.model_evals for res in units)
+                results[rep] = [_result(res) for res in units]
+                fused[rep] = f.estimate, f.variance, f.no_information, f.weights
+            labels = [(res.density_id, res.kind, res.n) for res in units]
+            report.budgets.append(BudgetResults(n_total, labels, results, fused))
+            for (density_id, _, _), column in zip(labels, results.T):
+                columns[density_id] = column["estimate"], column["rmse"], column["cv"]
+            sd, estimate = np.sqrt(fused["variance"]), fused["estimate"]
+            ratio = np.divide(sd, estimate, out=np.full_like(sd, math.nan), where=estimate > 0.0)
+            columns["fused"] = (estimate, np.where(fused["no_information"], math.nan, sd), ratio)
         flag = "" if n_idx in budgets else "insufficient"
         report.convergence_rows += [
-            {"n": n_total, "estimator_id": e, **_means(per_rep[e]), "flag": flag}
+            {"n": n_total, "estimator_id": e, **_means(*columns[e]), "flag": flag}
             for e in estimator_ids
         ]
 
@@ -522,11 +547,11 @@ def _write_outputs(report: CampaignReport, out_dir: Path) -> list[str]:
         "subset_levels": report.subset_levels,
     }
     # (name, CSV rows or JSON text); empty content means the phase that
-    # fills the file did not run
+    # fills the file did not run, or ran no repetition
     files = [
         ("densities.json", densities_json),
-        ("estimates.csv", report.estimator_rows),
-        ("weights.csv", report.fused_rows),
+        ("estimates.csv", report.budgets and _estimate_rows(report)),
+        ("weights.csv", report.budgets and _fused_rows(report)),
         ("convergence.csv", report.convergence_rows),
         ("subset.csv", report.subset_rows),
         # strict JSON: a non-finite float raises instead of writing NaN

@@ -179,7 +179,7 @@ def monte_carlo_estimate(
     hits = 0
     for batch in _batches(n):
         g = ls.evaluate(model.evaluate(nominal.sample(rng, batch)))
-        hits += int((g < 0.0).sum())
+        hits += int(np.count_nonzero(g < 0.0))
     p_hat = hits / n
     if n == 1:
         sample_variance = 0.0
@@ -216,9 +216,14 @@ def importance_sampling_estimate(
     if n < 2:
         raise ValueError("n must be >= 2 for the unbiased sample variance")
     if biasing is nominal:
+        # every hit weight is 1: the variance sums hits copies of (1 - estimate)**2 and n - hits
+        # of estimate**2, as products (NumPy's square), exactly and rounded once as _exact_sum does
         hits = monte_carlo_estimate(model, ls, nominal, n, rng).hits
-        hit_chunks, evals = [np.ones(hits)], n
-        high = 1.0  # the largest hit weight
+        estimate = hits / n
+        miss = 1.0 - estimate
+        (p, q), (r, s) = (miss * miss).as_integer_ratio(), (estimate * estimate).as_integer_ratio()
+        variance_sum = (hits * p * s + (n - hits) * r * q) / (q * s)  # int / int rounds once
+        return EstimatorResult(estimate, n, variance_sum / (n - 1.0), hits, density_id, "IS", n)
     elif not biasing.full_support:
         raise ValueError(
             "biasing density must have full support, or be the nominal density itself"

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import io
 import json
 import math
 import re
@@ -17,6 +18,7 @@ from rarefuse.cli import (
     ExperimentConfig,
     SubsetSettings,
     _split_budget,
+    _write_csv,
     main,
     run_experiment,
 )
@@ -755,3 +757,39 @@ class TestCommandLine:
         )
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "out" / "estimates.csv").exists()
+
+
+class TestCsvFormat:
+    @staticmethod
+    def former_fmt(value):
+        """The per-value formatter that fed csv.writer before rows were streamed."""
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        if isinstance(value, float):
+            return format(value, ".17g")
+        if value is None:
+            return ""
+        return str(value)
+
+    def test_streamed_rows_match_csv_writer(self, tmp_path):
+        row = {
+            "nan": math.nan,
+            "inf": math.inf,
+            "minus_inf": -math.inf,
+            "minus_zero": -0.0,
+            "subnormal": 5e-324,
+            "tenth": 0.1,
+            "past_2_53": 2**53 + 1,
+            "yes": True,
+            "no": False,
+            "none": None,
+            "hash": "4869a9c44648",
+        }
+        rows = [row, {**row, "tenth": 2.5e-310, "yes": False}]
+        _write_csv(tmp_path / "rows.csv", (r for r in rows))
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(rows[0])
+        for r in rows:
+            writer.writerow([self.former_fmt(value) for value in r.values()])
+        assert (tmp_path / "rows.csv").read_bytes() == expected.getvalue().encode()

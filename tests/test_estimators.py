@@ -618,6 +618,52 @@ class TestRepeatedTerm:
             )
 
 
+class Ordered:
+    """The nominal density of a fallback: draw i is the point (i, i)."""
+
+    full_support = True
+
+    def sample(self, rng, count):
+        return np.repeat(np.arange(count, dtype=float)[:, None], 2, axis=1)
+
+
+class TestNominalFallback:
+    """IS on the nominal density itself forms its sums from the hit count
+    alone, bit for bit as from an array of ``hits`` unit weights."""
+
+    @staticmethod
+    def ones_form(hits, n):
+        chunks = [np.ones(hits)]  # every hit weight is exactly 1
+        estimate = est._exact_sum(chunks) / n
+        if hits == n:  # all n draws hit with one weight: zero scatter
+            return estimate, 0.0
+        variance = est._exact_sum(chunks, n - hits, estimate * estimate, center=estimate)
+        return estimate, variance / (n - 1.0)
+
+    @staticmethod
+    def fallback(hits, n):
+        # the first `hits` draws fail
+        model = Model(lambda pts: pts[:, 0], 2, 1)
+        ls = LimitState(lambda y: y[:, 0] - (hits - 0.5))
+        nominal = Ordered()
+        res = importance_sampling_estimate(model, ls, nominal, nominal, n, None)
+        assert res.hits == hits and res.model_evals == n
+        return res.estimate, res.sample_variance
+
+    def test_matches_unit_weights_bit_for_bit(self):
+        for n in range(2, 2001):
+            for hits in sorted({0, 1, n - 1, n}):
+                got, want = self.fallback(hits, n), self.ones_form(hits, n)
+                assert all(map(same_bits, got, want)), (n, hits, got, want)
+
+    @pytest.mark.parametrize("hits, n", [(513, 1000), (777, 1500), (1000, 2000), (1500, 1999)])
+    def test_past_the_small_sum_matches_the_kernel(self, hits, n):
+        # more than _SUM_SMALL unit weights take the exact-sum kernel
+        assert hits > est._SUM_SMALL
+        got, want = self.fallback(hits, n), self.ones_form(hits, n)
+        assert all(map(same_bits, got, want)), (got, want)
+
+
 class TestAgainstReferenceLoop:
     """Bit for bit against the plain loop: two pdf calls, a dense array of
     all n weights ind*p/q, fsum."""
